@@ -21,9 +21,11 @@
 //!   than completed jobs are flagged unreliable (§4, *Importance of
 //!   feedback information*).
 //! * [`runtime`] — the composition driving a whole experiment: grid
-//!   simulator + monitor + server + client, with planner/monitor/timeout
-//!   cycles, producing the [`report::RunReport`] every figure is built
-//!   from.
+//!   simulator + monitor + scheduler tier + client, with
+//!   planner/monitor/timeout cycles, producing the [`report::RunReport`]
+//!   every figure is built from. One event loop serves both tiers: a
+//!   single server ([`SphinxRuntime`]) or a [`shard`] set
+//!   ([`ShardedRuntime`]).
 
 pub mod client;
 pub mod error;

@@ -1,12 +1,12 @@
-//! The composed system: grid + monitor + server + client.
+//! The composed system: grid + monitor + scheduler tier + client.
 //!
-//! [`SphinxRuntime`] is the experiment driver. It steps the grid's event
-//! loop and multiplexes three periodic activities over wakeup events,
+//! [`Runtime`] runs an experiment. It steps the grid's event loop
+//! and multiplexes three periodic activities over wakeup events,
 //! mirroring how the real deployment's processes ran concurrently:
 //!
 //! * **Planner cycle** — drain tracker reports from the inbox table,
 //!   advance the server automaton, plan ready jobs, hand plans to the
-//!   client for submission.
+//!   client for submission, then tick the live ops plane.
 //! * **Monitor cycle** — the monitoring system's query jobs sample the
 //!   sites.
 //! * **Timeout scan** — the tracker cancels overdue submissions.
@@ -16,22 +16,30 @@
 //! §3.2's message-handling module describes — which is also what makes the
 //! mid-run server-crash experiment possible: the queues are part of the
 //! WAL-protected state.
+//!
+//! The loop exists once. The paper's agents talk only through tables, so
+//! the same loop drives one server or many: it is generic over a
+//! [`SchedulerTier`], which supplies only what differs between the two —
+//! where a report goes, how plans are made and accounted, the
+//! coordination hooks around a planner tick, and which servers the report
+//! reads. [`SphinxRuntime`] runs the [`SingleServer`] tier;
+//! [`crate::shard::ShardedRuntime`] runs a [`crate::shard::ShardSet`].
 
 use crate::client::{ClientConfig, SphinxClient};
 use crate::error::CoreResult;
 use crate::messages::{PlanNotice, StatusReport, INBOX, OUTBOX};
 use crate::report::{RunReport, SiteOutcome};
-use crate::server::{ServerConfig, SphinxServer};
+use crate::server::{ServerConfig, ServerStats, SphinxServer};
 use crate::state::{DagRow, JobRow, SiteStatsRow};
 use crate::strategy::{SiteInfo, StrategyKind};
 use parking_lot::Mutex;
 use sphinx_dag::Dag;
-use sphinx_data::{SiteId, TransferModel};
+use sphinx_data::{ReplicaService, SiteId, TransferModel};
 use sphinx_db::{Database, Queue};
 use sphinx_grid::{GridSim, Notification};
-use sphinx_monitor::{Monitor, MonitorConfig};
+use sphinx_monitor::{Monitor, MonitorConfig, Report};
 use sphinx_ops::{OpsAggregator, OpsConfig, OpsDetector, OpsSnapshot};
-use sphinx_policy::UserId;
+use sphinx_policy::{PolicyEngine, UserId};
 use sphinx_sim::{Duration, SimTime};
 use sphinx_telemetry::{Telemetry, TelemetryConfig, TraceKind};
 use std::collections::BTreeMap;
@@ -98,13 +106,83 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// The composed SPHINX deployment.
-pub struct SphinxRuntime {
-    grid: GridSim,
+impl RuntimeConfig {
+    /// The configuration every server of this runtime runs with.
+    pub(crate) fn server_config(&self) -> ServerConfig {
+        ServerConfig {
+            strategy: self.strategy,
+            feedback: self.feedback,
+            policy_enabled: self.policy_enabled,
+            archive_site: self.archive_site,
+            score_cache: self.score_cache,
+            ops_fast_path: self.ops_fast_path,
+        }
+    }
+}
+
+/// The scheduler tier under the [`Runtime`] event loop: one server, or a
+/// set of shards. Everything above this seam — grid, monitor, client,
+/// wakeups, the planner-tick skeleton, the ops plane and the report — is
+/// shared; the hooks with default bodies are no-ops for a single server.
+pub trait SchedulerTier {
+    /// The run-comparable telemetry hub (servers, grid, monitor, ops).
+    fn telemetry(&self) -> &Arc<Telemetry>;
+    /// The database holding the `INBOX`/`OUTBOX` message queues.
+    fn queues(&self) -> &Arc<Database>;
+    /// The policy engine planning consults (VOs, users, quotas).
+    fn policy_mut(&mut self) -> &mut PolicyEngine;
+    /// Accept a DAG on the server that owns it.
+    fn submit(
+        &mut self,
+        dag: &Dag,
+        user: UserId,
+        now: SimTime,
+        deadline: Option<SimTime>,
+    ) -> CoreResult<()>;
+    /// True when every submitted DAG finished.
+    fn all_finished(&self) -> bool;
+    /// First drive only: write the tier's coordination rows.
+    fn first_drive(&mut self, _now: SimTime) -> CoreResult<()> {
+        Ok(())
+    }
+    /// A planner tick begins (before the inbox is drained).
+    fn begin_tick(&mut self) {}
+    /// Hand one tracker report to the server owning its job.
+    fn deliver(&mut self, report: StatusReport, now: SimTime) -> CoreResult<()>;
+    /// Between tracking and planning, with the tracker's view of the grid.
+    fn after_track(&mut self, _client: &SphinxClient, _now: SimTime) -> CoreResult<()> {
+        Ok(())
+    }
+    /// One plan pass over every live server.
+    fn plan_ready(
+        &mut self,
+        now: SimTime,
+        rls: &mut ReplicaService,
+        reports: &BTreeMap<SiteId, Report>,
+        transfers: &TransferModel,
+    ) -> CoreResult<Vec<PlanNotice>>;
+    /// Account one plan on its way to the outbox.
+    fn debit(&self, _plan: &PlanNotice) -> CoreResult<()> {
+        Ok(())
+    }
+    /// Live ops decided `site` is a black hole (the fast path).
+    fn apply_ops_flag(&mut self, site: SiteId, now: SimTime);
+    /// A planner tick ends (after the next tick is scheduled).
+    fn end_tick(&mut self) {}
+    /// Every live server, whose tables the report reads.
+    fn servers(&self) -> Vec<&SphinxServer>;
+    /// Planning and rescheduling counters.
+    fn stats(&self) -> ServerStats;
+    /// Average completion time of the site whose (merged) statistics row
+    /// this is — the report's only per-tier input.
+    fn site_average(&self, row: &SiteStatsRow) -> Option<f64>;
+}
+
+/// The composed SPHINX deployment over a [`SchedulerTier`].
+pub struct Runtime<T> {
+    pub(crate) grid: GridSim,
     monitor: Monitor,
-    server: SphinxServer,
     client: SphinxClient,
-    db: Arc<Database>,
     config: RuntimeConfig,
     transfer_model: TransferModel,
     started: bool,
@@ -112,46 +190,16 @@ pub struct SphinxRuntime {
     /// Snapshot handle shared with the HTTP ops endpoint; rebuilt by the
     /// aggregator after every planner cycle.
     ops_shared: Option<Arc<Mutex<OpsSnapshot>>>,
+    pub(crate) tier: T,
 }
 
-impl SphinxRuntime {
-    /// Assemble a runtime over a grid, with a fresh in-memory database.
-    pub fn new(grid: GridSim, config: RuntimeConfig) -> Self {
-        Self::with_database(grid, config, Arc::new(Database::in_memory()))
-    }
-
-    /// Assemble a runtime over a grid with an explicit database (use a
-    /// WAL-backed one to run the crash-recovery experiment).
-    pub fn with_database(mut grid: GridSim, config: RuntimeConfig, db: Arc<Database>) -> Self {
-        let catalog: Vec<SiteInfo> = grid
-            .site_specs()
-            .iter()
-            .map(|s| SiteInfo {
-                id: s.id,
-                name: s.name.clone(),
-                cpus: s.cpus,
-            })
-            .collect();
-        let transfer_model = grid.transfer_model().clone();
-        // One shared hub for every module: server FSA transitions, grid
-        // lifecycle events, monitor sampling, and WAL activity all land in
-        // the same trace, ordered by the single simulation clock.
-        let telemetry = Arc::new(Telemetry::with_config(config.telemetry.clone()));
+impl<T: SchedulerTier> Runtime<T> {
+    /// Put a grid, monitor, client and ops plane around a tier; the grid
+    /// and monitor record on the tier's hub.
+    pub(crate) fn assemble(mut grid: GridSim, config: RuntimeConfig, tier: T) -> Self {
+        let telemetry = Arc::clone(tier.telemetry());
         grid.set_telemetry(Arc::clone(&telemetry));
-        db.attach_telemetry(Arc::clone(&telemetry));
-        let mut server = SphinxServer::new(
-            Arc::clone(&db),
-            catalog,
-            ServerConfig {
-                strategy: config.strategy,
-                feedback: config.feedback,
-                policy_enabled: config.policy_enabled,
-                archive_site: config.archive_site,
-                score_cache: config.score_cache,
-                ops_fast_path: config.ops_fast_path,
-            },
-        );
-        server.set_telemetry(Arc::clone(&telemetry));
+        let transfer_model = grid.transfer_model().clone();
         let client = SphinxClient::new(ClientConfig {
             timeout: config.timeout,
         });
@@ -161,33 +209,22 @@ impl SphinxRuntime {
         let ops_shared = ops
             .is_some()
             .then(|| Arc::new(Mutex::new(OpsSnapshot::default())));
-        SphinxRuntime {
+        Runtime {
             grid,
             monitor,
-            server,
             client,
-            db,
             config,
             transfer_model,
             started: false,
             ops,
             ops_shared,
+            tier,
         }
     }
 
     /// The underlying grid (e.g. to pre-seed replicas before submitting).
     pub fn grid_mut(&mut self) -> &mut GridSim {
         &mut self.grid
-    }
-
-    /// The server (e.g. to configure policy quotas).
-    pub fn server_mut(&mut self) -> &mut SphinxServer {
-        &mut self.server
-    }
-
-    /// Immutable server access.
-    pub fn server(&self) -> &SphinxServer {
-        &self.server
     }
 
     /// The tracker.
@@ -200,9 +237,14 @@ impl SphinxRuntime {
         &self.config
     }
 
-    /// The telemetry hub shared by every module of this runtime.
+    /// The run-comparable telemetry hub (servers, grid, monitor, ops).
     pub fn telemetry(&self) -> &Arc<Telemetry> {
-        self.server.telemetry()
+        self.tier.telemetry()
+    }
+
+    /// The policy engine (to register VOs, users and quotas).
+    pub fn policy_mut(&mut self) -> &mut PolicyEngine {
+        self.tier.policy_mut()
     }
 
     /// The live-ops snapshot handle (for the HTTP endpoint or a harness);
@@ -217,49 +259,41 @@ impl SphinxRuntime {
         self.ops.as_ref()
     }
 
-    /// Submit a DAG on behalf of a user. Panics on an invalid DAG or a
-    /// database failure — use [`SphinxServer::submit_dag`] directly for a
-    /// typed error.
-    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) {
-        self.server
-            .submit_dag(dag, user, self.grid.now())
-            .expect("dag submission");
+    /// True when every submitted DAG finished.
+    pub fn all_finished(&self) -> bool {
+        self.tier.all_finished()
     }
 
-    /// Submit a DAG with a QoS deadline relative to now (the §6
-    /// future-work extension): its ready jobs are planned
-    /// earliest-deadline-first ahead of deadline-free work.
-    pub fn submit_dag_with_deadline(&mut self, dag: &Dag, user: UserId, within: Duration) {
+    /// Submit a DAG on behalf of a user, optionally with a QoS deadline
+    /// `within` of now (the §6 future-work extension: its ready jobs are
+    /// planned earliest-deadline-first ahead of deadline-free work).
+    pub fn try_submit_dag(
+        &mut self,
+        dag: &Dag,
+        user: UserId,
+        within: Option<Duration>,
+    ) -> CoreResult<()> {
         let now = self.grid.now();
-        self.server
-            .submit_dag_with_deadline(dag, user, now, Some(now + within))
-            .expect("dag submission");
+        self.tier.submit(dag, user, now, within.map(|w| now + w))
     }
 
-    fn schedule_initial_wakeups(&mut self) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        let now = self.grid.now();
-        self.grid
-            .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
-        self.grid.schedule_wakeup(now, TOKEN_MONITOR);
-        self.grid
-            .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
-    }
-
+    // sphinx-hot
     fn planner_tick(&mut self) -> CoreResult<()> {
+        self.tier.begin_tick();
         let now = self.grid.now();
-        // 1. Message handling: drain tracker reports from the inbox.
-        let track_span = self.server.telemetry().span_start("phase:track", now);
-        let inbox: Queue<StatusReport> = Queue::new(&self.db, INBOX);
+        let telemetry = Arc::clone(self.tier.telemetry());
+        let queues = Arc::clone(self.tier.queues());
+        // 1. Message handling: drain tracker reports from the inbox, in
+        // sequence order, each to the server owning its job.
+        let track_span = telemetry.span_start("phase:track", now);
+        let inbox: Queue<StatusReport> = Queue::new(&queues, INBOX);
         for report in inbox.drain()? {
-            self.server.handle_report(report, now)?;
+            self.tier.deliver(report, now)?;
         }
-        self.server.telemetry().span_end(track_span, now);
+        telemetry.span_end(track_span, now);
+        self.tier.after_track(&self.client, now)?;
         // 2. Planning: advance the automaton, write plans to the outbox.
-        let reports: BTreeMap<SiteId, sphinx_monitor::Report> = self
+        let reports: BTreeMap<SiteId, Report> = self
             .monitor
             .reports(now)
             .into_iter()
@@ -269,39 +303,33 @@ impl SphinxRuntime {
         // path would not change the trace, but keeping it off by default
         // guarantees the deterministic profile never touches the host
         // clock at all.
-        let wall_start = self
-            .server
-            .telemetry()
-            .wall_clock_enabled()
-            .then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
+        let wall_start = telemetry.wall_clock_enabled().then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
         let plans =
-            self.server
-                .plan_cycle(now, self.grid.rls_mut(), &reports, &self.transfer_model)?;
+            self.tier
+                .plan_ready(now, self.grid.rls_mut(), &reports, &self.transfer_model)?;
         if let Some(start) = wall_start {
-            self.server
-                .telemetry()
-                .observe("wall.plan_cycle_us", start.elapsed().as_micros() as f64);
+            telemetry.observe("wall.plan_cycle_us", start.elapsed().as_micros() as f64);
         }
-        let submit_span = self.server.telemetry().span_start("phase:submit", now);
-        let outbox: Queue<PlanNotice> = Queue::new(&self.db, OUTBOX);
+        // 3. Submission: plans travel through the outbox table in
+        // planning order; the client consumes it and submits.
+        let submit_span = telemetry.span_start("phase:submit", now);
+        let outbox: Queue<PlanNotice> = Queue::new(&queues, OUTBOX);
         for plan in &plans {
+            self.tier.debit(plan)?;
             outbox.push(plan)?;
         }
-        // 3. The client consumes the outbox and submits.
         for plan in outbox.drain()? {
             self.client.submit_plan(&mut self.grid, &plan, now);
         }
-        self.server.telemetry().span_end(submit_span, now);
+        telemetry.span_end(submit_span, now);
         // 4. Live ops plane: fold this cycle's trace and metrics into the
         // rolling windows, run the online detectors, publish the snapshot
         // for the HTTP endpoint, and (fast path only) feed black-hole
         // verdicts into the reliability index.
         if let Some(ops) = self.ops.as_mut() {
-            let telemetry = Arc::clone(self.server.telemetry());
-            let alerts: &[sphinx_ops::OpsAlert] = ops.tick(now, &telemetry);
-            for alert in alerts {
+            for alert in ops.tick(now, &telemetry) {
                 if alert.detector == OpsDetector::BlackHole {
-                    self.server.apply_ops_flag(SiteId(alert.site), now);
+                    self.tier.apply_ops_flag(SiteId(alert.site), now);
                 }
             }
             if let Some(shared) = &self.ops_shared {
@@ -310,6 +338,7 @@ impl SphinxRuntime {
         }
         self.grid
             .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
+        self.tier.end_tick();
         Ok(())
     }
 
@@ -324,7 +353,7 @@ impl SphinxRuntime {
     fn timeout_tick(&mut self) -> CoreResult<()> {
         let now = self.grid.now();
         let reports = self.client.scan_timeouts(&mut self.grid, now);
-        let inbox: Queue<StatusReport> = Queue::new(&self.db, INBOX);
+        let inbox: Queue<StatusReport> = Queue::new(self.tier.queues(), INBOX);
         for report in reports {
             inbox.push(&report)?;
         }
@@ -333,72 +362,30 @@ impl SphinxRuntime {
         Ok(())
     }
 
-    /// Assemble a runtime whose server is **recovered** from an existing
-    /// database (the mid-run crash experiment). The grid — with whatever
-    /// jobs are still in flight — survives; the server conservatively
-    /// replans everything that was in flight, and the fresh client simply
-    /// ignores notifications for attempts it never made.
-    ///
-    /// The surviving grid's pending wakeup chains keep driving the
-    /// periodic cycles, so none are rescheduled here.
-    pub fn with_recovered_database(
-        grid: GridSim,
-        config: RuntimeConfig,
-        db: Arc<Database>,
-    ) -> CoreResult<Self> {
-        let mut rt = Self::with_database(grid, config, db);
-        let catalog: Vec<SiteInfo> = rt
-            .grid
-            .site_specs()
-            .iter()
-            .map(|s| SiteInfo {
-                id: s.id,
-                name: s.name.clone(),
-                cpus: s.cpus,
-            })
-            .collect();
-        // The recovered server replaces the one `with_database` built; keep
-        // the shared hub so grid/monitor/db events stay on the same trace.
-        let telemetry = Arc::clone(rt.server.telemetry());
-        rt.server = SphinxServer::recover(
-            Arc::clone(&rt.db),
-            catalog,
-            ServerConfig {
-                strategy: rt.config.strategy,
-                feedback: rt.config.feedback,
-                policy_enabled: rt.config.policy_enabled,
-                archive_site: rt.config.archive_site,
-                score_cache: rt.config.score_cache,
-                ops_fast_path: rt.config.ops_fast_path,
-            },
-        )?;
-        telemetry.trace(
-            TraceKind::Recovery,
-            rt.grid.now(),
-            None,
-            None,
-            format!("replayed={}", rt.db.replayed()),
-        );
-        rt.server.set_telemetry(telemetry);
-        rt.started = true; // reuse the surviving wakeup chains
-        Ok(rt)
-    }
-
-    /// The shared event loop behind [`Self::run`] and [`Self::run_until`]:
-    /// step the grid and dispatch notifications until every DAG finishes,
-    /// the grid drains, or `stop` passes on the simulation clock.
+    /// The event loop behind every run method: step the grid and dispatch
+    /// notifications until every DAG finishes, the grid drains, or `stop`
+    /// passes on the simulation clock.
     fn drive(&mut self, stop: SimTime) -> CoreResult<()> {
-        self.schedule_initial_wakeups();
+        if !self.started {
+            self.started = true;
+            let now = self.grid.now();
+            self.grid
+                .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
+            self.grid.schedule_wakeup(now, TOKEN_MONITOR);
+            self.grid
+                .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
+            self.tier.first_drive(now)?;
+        }
         let horizon = SimTime::ZERO + self.config.horizon;
         let stop = stop.min(horizon);
-        while !self.server.all_finished() && self.grid.now() < stop {
+        while !self.tier.all_finished() && self.grid.now() < stop {
             if !self.grid.step() {
                 break; // grid drained (no recurring processes configured)
             }
             let now = self.grid.now();
             let notifications = self.grid.poll();
-            let db = Arc::clone(&self.db);
-            let inbox: Queue<StatusReport> = Queue::new(&db, INBOX);
+            let queues = Arc::clone(self.tier.queues());
+            let inbox: Queue<StatusReport> = Queue::new(&queues, INBOX);
             for n in notifications {
                 match n {
                     Notification::Wakeup {
@@ -422,24 +409,18 @@ impl SphinxRuntime {
         Ok(())
     }
 
-    /// Run until every DAG finishes, the horizon is hit, or `stop_at`
-    /// passes on the simulation clock. Returns whether everything
-    /// finished; a database failure surfaces as a typed error.
+    /// Run until every DAG finishes, the grid drains, the horizon is hit,
+    /// or `stop_at` passes on the simulation clock. Returns whether
+    /// everything finished; a database failure surfaces as a typed error.
     pub fn try_run_until(&mut self, stop_at: SimTime) -> CoreResult<bool> {
         self.drive(stop_at)?;
-        Ok(self.server.all_finished())
+        Ok(self.tier.all_finished())
     }
 
     /// Like [`Self::try_run_until`], panicking on database failure (the
     /// in-memory experiment configurations cannot fail).
     pub fn run_until(&mut self, stop_at: SimTime) -> bool {
         self.try_run_until(stop_at).expect("runtime drive")
-    }
-
-    /// Tear the runtime down to its surviving grid ("the server process
-    /// died; the grid did not notice").
-    pub fn into_grid(self) -> GridSim {
-        self.grid
     }
 
     /// Run until every DAG finishes or the horizon is hit, then build the
@@ -455,13 +436,45 @@ impl SphinxRuntime {
         self.try_run().expect("runtime drive")
     }
 
-    /// Assemble the [`RunReport`] from the database and module state.
+    /// Tear the runtime down to its surviving grid ("the server process
+    /// died; the grid did not notice").
+    pub fn into_grid(self) -> GridSim {
+        self.grid
+    }
+
+    /// Assemble the [`RunReport`] from every live server's tables.
     ///
     /// Job tallies come from the `/state` secondary index (registered by
     /// the server), so report assembly reads the finished/eliminated rows
-    /// rather than decoding the whole job table.
+    /// rather than decoding the whole job table. Rows are merged and
+    /// sorted by id before any floating-point accumulation and per-site
+    /// tallies merge-add, so the sums do not depend on how DAGs were
+    /// spread over servers; per-site averages come from the tier.
     pub fn build_report(&self) -> CoreResult<RunReport> {
-        let dags = self.db.scan::<DagRow>()?;
+        let mut dags: Vec<DagRow> = Vec::new();
+        let mut finished: Vec<JobRow> = Vec::new();
+        let mut eliminated = 0usize;
+        let mut tallies: BTreeMap<u32, SiteStatsRow> = BTreeMap::new();
+        for server in self.tier.servers() {
+            let db = server.database();
+            dags.extend(db.scan::<DagRow>()?);
+            finished.extend(db.scan_where::<JobRow>("/state", &serde_json::json!("Finished"))?);
+            eliminated += db
+                .scan_where::<JobRow>("/state", &serde_json::json!("Eliminated"))?
+                .len();
+            for row in db.scan::<SiteStatsRow>()? {
+                let t = tallies.entry(row.site).or_insert_with(|| SiteStatsRow {
+                    site: row.site,
+                    ..SiteStatsRow::default()
+                });
+                t.completed += row.completed;
+                t.cancelled += row.cancelled;
+                t.completion_secs_sum += row.completion_secs_sum;
+                t.completion_samples += row.completion_samples;
+            }
+        }
+        dags.sort_by_key(|d| d.id);
+        finished.sort_by_key(|j| j.id.as_key());
         let mut dag_completion_secs = Vec::new();
         let mut deadlines_met = 0usize;
         let mut deadlines_missed = 0usize;
@@ -481,74 +494,216 @@ impl SphinxRuntime {
         } else {
             dag_completion_secs.iter().sum::<f64>() / dag_completion_secs.len() as f64
         };
-        let finished = self
-            .db
-            .scan_where::<JobRow>("/state", &serde_json::json!("Finished"))?;
+        let completed = finished.len();
         let mut exec_sum = 0.0;
         let mut idle_sum = 0.0;
-        let completed = finished.len();
         for j in &finished {
             exec_sum += j.exec_secs.unwrap_or(0.0);
             idle_sum += j.idle_secs.unwrap_or(0.0);
         }
-        let eliminated = self
-            .db
-            .scan_where::<JobRow>("/state", &serde_json::json!("Eliminated"))?
-            .len();
-        let catalog: BTreeMap<SiteId, String> = self
+        let per_job = |sum: f64| {
+            if completed > 0 {
+                sum / completed as f64
+            } else {
+                0.0
+            }
+        };
+        let names: BTreeMap<SiteId, String> = self
             .grid
             .site_specs()
             .iter()
             .map(|s| (s.id, s.name.clone()))
             .collect();
-        let sites = self
-            .db
-            .scan::<SiteStatsRow>()?
-            .into_iter()
+        let sites = tallies
+            .values()
             .map(|row| SiteOutcome {
                 site: SiteId(row.site),
-                name: catalog
+                name: names
                     .get(&SiteId(row.site))
                     .cloned()
                     .unwrap_or_else(|| format!("site{}", row.site)),
                 completed: row.completed,
                 cancelled: row.cancelled,
-                avg_completion_secs: (row.completion_samples > 0)
-                    .then(|| row.completion_secs_sum / row.completion_samples as f64),
+                avg_completion_secs: self.tier.site_average(row),
             })
             .collect();
-        let stats = self.server.stats();
+        let stats = self.tier.stats();
+        let telemetry = self.tier.telemetry();
         Ok(RunReport {
             strategy: self.config.strategy.label().to_owned(),
             feedback: self.config.feedback || self.config.strategy.implies_feedback(),
             policy: self.config.policy_enabled,
             seed: self.config.seed,
-            finished: self.server.all_finished(),
+            finished: self.tier.all_finished(),
             makespan_secs: self.grid.now().as_secs_f64(),
             dags: dags.len(),
             avg_dag_completion_secs: avg_dag,
             dag_completion_secs,
             jobs_completed: completed,
             jobs_eliminated: eliminated,
-            avg_exec_secs: if completed > 0 {
-                exec_sum / completed as f64
-            } else {
-                0.0
-            },
-            avg_idle_secs: if completed > 0 {
-                idle_sum / completed as f64
-            } else {
-                0.0
-            },
+            avg_exec_secs: per_job(exec_sum),
+            avg_idle_secs: per_job(idle_sum),
             plans: stats.plans,
             timeouts: stats.reschedules_timeout,
             holds: stats.reschedules_held,
             deadlines_met,
             deadlines_missed,
             sites,
-            telemetry: self.server.telemetry_snapshot(),
-            analysis: self.server.telemetry().analyze(10),
+            telemetry: telemetry.snapshot(),
+            analysis: telemetry.analyze(10),
         })
+    }
+}
+
+/// The unsharded tier: one [`SphinxServer`], with the message queues on
+/// its own database.
+pub struct SingleServer {
+    server: SphinxServer,
+}
+
+impl SchedulerTier for SingleServer {
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        self.server.telemetry()
+    }
+
+    fn queues(&self) -> &Arc<Database> {
+        self.server.database()
+    }
+
+    fn policy_mut(&mut self) -> &mut PolicyEngine {
+        self.server.policy_mut()
+    }
+
+    fn submit(
+        &mut self,
+        dag: &Dag,
+        user: UserId,
+        now: SimTime,
+        deadline: Option<SimTime>,
+    ) -> CoreResult<()> {
+        self.server
+            .submit_dag_with_deadline(dag, user, now, deadline)
+    }
+
+    fn all_finished(&self) -> bool {
+        self.server.all_finished()
+    }
+
+    fn deliver(&mut self, report: StatusReport, now: SimTime) -> CoreResult<()> {
+        self.server.handle_report(report, now)
+    }
+
+    fn plan_ready(
+        &mut self,
+        now: SimTime,
+        rls: &mut ReplicaService,
+        reports: &BTreeMap<SiteId, Report>,
+        transfers: &TransferModel,
+    ) -> CoreResult<Vec<PlanNotice>> {
+        self.server.plan_cycle(now, rls, reports, transfers)
+    }
+
+    fn apply_ops_flag(&mut self, site: SiteId, now: SimTime) {
+        self.server.apply_ops_flag(site, now);
+    }
+
+    fn servers(&self) -> Vec<&SphinxServer> {
+        vec![&self.server]
+    }
+
+    fn stats(&self) -> ServerStats {
+        self.server.stats()
+    }
+
+    /// Sum ÷ count of the server's persisted per-site statistics row.
+    fn site_average(&self, row: &SiteStatsRow) -> Option<f64> {
+        (row.completion_samples > 0)
+            .then(|| row.completion_secs_sum / row.completion_samples as f64)
+    }
+}
+
+/// The unsharded SPHINX deployment: one server over one database, which
+/// also carries the message queues.
+pub type SphinxRuntime = Runtime<SingleServer>;
+
+impl SphinxRuntime {
+    /// Assemble a runtime over a grid, with a fresh in-memory database.
+    pub fn new(grid: GridSim, config: RuntimeConfig) -> Self {
+        Self::with_database(grid, config, Arc::new(Database::in_memory()))
+    }
+
+    /// Assemble a runtime over a grid with an explicit database (use a
+    /// WAL-backed one to run the crash-recovery experiment).
+    pub fn with_database(grid: GridSim, config: RuntimeConfig, db: Arc<Database>) -> Self {
+        // One shared hub for every module: server FSA transitions, grid
+        // lifecycle events, monitor sampling, and WAL activity all land in
+        // the same trace, ordered by the single simulation clock.
+        let telemetry = Arc::new(Telemetry::with_config(config.telemetry.clone()));
+        db.attach_telemetry(Arc::clone(&telemetry));
+        let mut server = SphinxServer::new(db, SiteInfo::catalog(&grid), config.server_config());
+        server.set_telemetry(telemetry);
+        Runtime::assemble(grid, config, SingleServer { server })
+    }
+
+    /// Assemble a runtime whose server is **recovered** from an existing
+    /// database (the mid-run crash experiment). The grid — with whatever
+    /// jobs are still in flight — survives; the server conservatively
+    /// replans everything that was in flight, and the fresh client simply
+    /// ignores notifications for attempts it never made.
+    ///
+    /// The surviving grid's pending wakeup chains keep driving the
+    /// periodic cycles, so none are rescheduled here.
+    pub fn with_recovered_database(
+        grid: GridSim,
+        config: RuntimeConfig,
+        db: Arc<Database>,
+    ) -> CoreResult<Self> {
+        let mut rt = Self::with_database(grid, config, db);
+        // The recovered server replaces the one `with_database` built; keep
+        // the shared hub so grid/monitor/db events stay on the same trace.
+        let telemetry = Arc::clone(rt.telemetry());
+        let db = Arc::clone(rt.tier.server.database());
+        let mut server = SphinxServer::recover(
+            Arc::clone(&db),
+            SiteInfo::catalog(&rt.grid),
+            rt.config.server_config(),
+        )?;
+        telemetry.trace(
+            TraceKind::Recovery,
+            rt.grid.now(),
+            None,
+            None,
+            format!("replayed={}", db.replayed()),
+        );
+        server.set_telemetry(telemetry);
+        rt.tier.server = server;
+        rt.started = true; // reuse the surviving wakeup chains
+        Ok(rt)
+    }
+
+    /// The server (e.g. to configure policy quotas).
+    pub fn server_mut(&mut self) -> &mut SphinxServer {
+        &mut self.tier.server
+    }
+
+    /// Immutable server access.
+    pub fn server(&self) -> &SphinxServer {
+        &self.tier.server
+    }
+
+    /// Submit a DAG on behalf of a user. Panics on an invalid DAG or a
+    /// database failure — use [`Self::try_submit_dag`] for a typed error.
+    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) {
+        self.try_submit_dag(dag, user, None)
+            .expect("dag submission");
+    }
+
+    /// Submit a DAG with a QoS deadline relative to now (the §6
+    /// future-work extension): its ready jobs are planned
+    /// earliest-deadline-first ahead of deadline-free work.
+    pub fn submit_dag_with_deadline(&mut self, dag: &Dag, user: UserId, within: Duration) {
+        self.try_submit_dag(dag, user, Some(within))
+            .expect("dag submission");
     }
 }
 

@@ -147,20 +147,17 @@ impl SchedulerState {
 }
 
 /// One ready job with its planning-order keys (deadline for EDF, user
-/// priority for §5 ordering), as produced by
-/// [`SphinxServer::ready_entries`].
+/// priority for §5 ordering), as produced by `SphinxServer::ready_entries`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ReadyEntry {
-    pub(crate) job: JobId,
-    pub(crate) deadline: Option<SimTime>,
-    pub(crate) priority: u32,
+struct ReadyEntry {
+    job: JobId,
+    deadline: Option<SimTime>,
+    priority: u32,
 }
 
-/// Per-cycle bookkeeping emitted once per plan cycle, before any per-DAG
+/// Per-cycle bookkeeping emitted once per plan pass, before any per-DAG
 /// work: cycle counters, monitoring staleness, the `PlanCycle` trace line.
-/// Free function so the sharded coordinator can emit it exactly once per
-/// *global* cycle rather than once per shard.
-pub(crate) fn cycle_prolog(
+fn cycle_prolog(
     telemetry: &Telemetry,
     sched: &mut SchedulerState,
     now: SimTime,
@@ -187,7 +184,7 @@ pub(crate) fn cycle_prolog(
 }
 
 /// Per-cycle epilogue: flush the score-cache and scratch-reuse counters.
-pub(crate) fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
+fn cycle_epilog(telemetry: &Telemetry, sched: &mut SchedulerState) {
     let (cache_hits, cache_misses) = sched.score_cache.take_counters();
     if cache_hits > 0 {
         telemetry.counter_add("plan.score_cache.hits", cache_hits);
@@ -572,10 +569,23 @@ impl SphinxServer {
     /// post-hoc tally catches up. Gated on [`ServerConfig::ops_fast_path`]
     /// — a no-op (and thus trace-invariant) when the flag is off.
     pub fn apply_ops_flag(&mut self, site: SiteId, now: SimTime) {
+        let mut sched = std::mem::take(&mut self.sched);
+        self.apply_ops_flag_shared(&mut sched, site, now);
+        self.sched = sched;
+    }
+
+    /// [`Self::apply_ops_flag`] against an external [`SchedulerState`]
+    /// (the sharded coordinator's shared one).
+    pub(crate) fn apply_ops_flag_shared(
+        &self,
+        sched: &mut SchedulerState,
+        site: SiteId,
+        now: SimTime,
+    ) {
         if !self.config.ops_fast_path || !self.config.effective_feedback() {
             return;
         }
-        let transition = self.sched.reliability.ops_flag(site, now);
+        let transition = sched.reliability.ops_flag(site, now);
         self.note_flag_transition(transition, site, now);
     }
 
@@ -875,26 +885,16 @@ impl SphinxServer {
         Ok(())
     }
 
-    /// Reduce newly received DAGs against the replica catalog (the DAG
-    /// reducer module).
-    fn reduce_received(&mut self, rls: &mut ReplicaService, now: SimTime) -> CoreResult<()> {
-        for dag_row in self.received_dags()? {
-            self.reduce_dag_row(&dag_row, rls, now)?;
-        }
-        Ok(())
-    }
-
-    /// This server's `Received` DAG rows, in DAG-id order. The sharded
-    /// coordinator merges these across shards and reduces in global id
-    /// order so the trace is invariant to the shard count.
-    pub(crate) fn received_dags(&self) -> CoreResult<Vec<DagRow>> {
+    /// This server's `Received` DAG rows, in DAG-id order ([`plan_pass`]
+    /// merges these across servers and reduces in global id order).
+    fn received_dags(&self) -> CoreResult<Vec<DagRow>> {
         Ok(self
             .db
             .scan_where::<DagRow>("/state", &serde_json::json!("Received"))?)
     }
 
     /// Reduce one newly received DAG (one iteration of the reducer loop).
-    pub(crate) fn reduce_dag_row(
+    fn reduce_dag_row(
         &mut self,
         dag_row: &DagRow,
         rls: &mut ReplicaService,
@@ -1008,8 +1008,9 @@ impl SphinxServer {
         Some(staging)
     }
 
-    /// One planner pass: reduce received DAGs, then plan every ready job.
-    /// Returns the plans for the client to submit.
+    /// One planner pass over this server alone (the shared `plan_pass`):
+    /// reduce received DAGs, then plan every ready job. Returns the plans
+    /// for the client to submit.
     // sphinx-hot
     pub fn plan_cycle(
         &mut self,
@@ -1019,94 +1020,32 @@ impl SphinxServer {
         transfers: &TransferModel,
     ) -> CoreResult<Vec<PlanNotice>> {
         let mut sched = std::mem::take(&mut self.sched);
-        let result = self.plan_cycle_shared(&mut sched, now, rls, reports, transfers);
+        let telemetry = Arc::clone(&self.telemetry);
+        let result = plan_pass(self, &mut sched, &telemetry, now, rls, reports, transfers);
         self.sched = sched;
         result
     }
 
-    /// [`Self::plan_cycle`] against an external [`SchedulerState`].
-    fn plan_cycle_shared(
-        &mut self,
-        sched: &mut SchedulerState,
-        now: SimTime,
-        rls: &mut ReplicaService,
-        reports: &BTreeMap<SiteId, Report>,
-        transfers: &TransferModel,
-    ) -> CoreResult<Vec<PlanNotice>> {
-        cycle_prolog(&self.telemetry, sched, now, reports);
-        // Phase spans mark the FSA pipeline stages inside one plan
-        // cycle; instantaneous in sim time (the cycle itself consumes no
-        // simulated duration) but causally ordered by span id.
-        let reduce_span = self.telemetry.span_start("phase:reduce", now);
-        self.reduce_received(rls, now)?;
-        self.telemetry.span_end(reduce_span, now);
-        let predict_span = self.telemetry.span_start("phase:predict", now);
-        // The frontiers' ready sets mirror the `Ready` rows exactly and
-        // avoid deserializing the whole job table every cycle.
-        let mut entries = self.ready_entries(sched);
-        // Planning order (QoS + §5 "policy and priorities of these jobs"):
-        // earliest deadline first, then higher user priority, then stable
-        // (dag, index) order. Deadlines and priorities come from the
-        // in-memory DAG metadata — no row decode — and the sort runs only
-        // when it can change the order (most cycles have neither deadlines
-        // nor differentiated priorities).
-        let any_deadline = entries.iter().any(|e| e.deadline.is_some());
-        let distinct_priorities = entries
-            .iter()
-            .zip(entries.iter().skip(1))
-            .any(|(a, b)| a.priority != b.priority);
-        if any_deadline || distinct_priorities {
-            sort_entries(&mut entries);
-        }
-        // QoS fast lane: while deadline work is pending, reserve the
-        // fastest-predicted site for it by steering deadline-free jobs
-        // elsewhere (soft reservation — it is released the moment no
-        // deadline DAG has ready work).
-        let fast_lane: Option<SiteId> = if any_deadline {
-            self.fast_lane_site(sched)
-        } else {
-            None
-        };
-        self.telemetry.span_end(predict_span, now);
-        let plan_span = self.telemetry.span_start("phase:plan", now);
-        // The monotonicity argument that makes the lazy ranking exact only
-        // holds within one plan phase; start every cycle cold.
-        sched.score_cache.begin_cycle();
-        let mut plans = Vec::new();
-        for entry in entries {
-            if let Some(plan) =
-                self.plan_one(sched, entry.job, fast_lane, now, rls, reports, transfers)?
-            {
-                plans.push(plan);
-            }
-        }
-        cycle_epilog(&self.telemetry, sched);
-        self.telemetry.span_end(plan_span, now);
-        Ok(plans)
-    }
-
-    /// Every ready job across this server's frontiers, in (dag, index)
-    /// order, annotated with its planning-order keys.
-    pub(crate) fn ready_entries(&self, sched: &SchedulerState) -> Vec<ReadyEntry> {
-        let mut entries = Vec::new();
+    /// Append every ready job across this server's frontiers to `out`, in
+    /// (dag, index) order, annotated with its planning-order keys.
+    fn ready_entries(&self, sched: &SchedulerState, out: &mut Vec<ReadyEntry>) {
         for (&dag, frontier) in &self.frontiers {
             let meta = self.dag_meta.get(&dag);
             let deadline = meta.and_then(|m| m.deadline);
             let priority = meta
                 .and_then(|m| sched.policy.priority_of(m.user))
                 .unwrap_or(0);
-            entries.extend(frontier.ready_iter().map(|i| ReadyEntry {
+            out.extend(frontier.ready_iter().map(|i| ReadyEntry {
                 job: JobId::new(dag, i),
                 deadline,
                 priority,
             }));
         }
-        entries
     }
 
     /// The fastest-predicted site with at least one completion sample —
     /// the QoS fast lane's soft reservation target.
-    pub(crate) fn fast_lane_site(&self, sched: &SchedulerState) -> Option<SiteId> {
+    fn fast_lane_site(&self, sched: &SchedulerState) -> Option<SiteId> {
         self.all_site_ids
             .iter()
             .copied()
@@ -1124,7 +1063,7 @@ impl SphinxServer {
     /// Returns `None` when the job must stay `Ready`: no feasible site, an
     /// input without a replica, or a quota race.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn plan_one(
+    fn plan_one(
         &mut self,
         sched: &mut SchedulerState,
         job_id: JobId,
@@ -1266,19 +1205,140 @@ impl SphinxServer {
     }
 }
 
-/// Sort ready entries into planning order: earliest deadline first, then
-/// higher user priority, then stable (dag, index) order. Shared with the
-/// sharded coordinator, whose concatenated per-shard entries are not in
-/// (dag, index) order to begin with.
-pub(crate) fn sort_entries(entries: &mut [ReadyEntry]) {
-    entries.sort_by_key(|e| {
-        (
-            e.deadline.unwrap_or(SimTime::MAX),
-            std::cmp::Reverse(e.priority),
-            e.job.dag,
-            e.job.index,
-        )
-    });
+/// The servers one [`plan_pass`] covers: a lone [`SphinxServer`], or the
+/// shard slots of a sharded deployment (dead slots answer `None`).
+pub(crate) trait ServerSet {
+    /// Number of server slots, dead ones included.
+    fn slots(&self) -> usize;
+    /// The live server in slot `i`.
+    fn server(&self, i: usize) -> Option<&SphinxServer>;
+    /// The live server in slot `i`, mutably.
+    fn server_mut(&mut self, i: usize) -> Option<&mut SphinxServer>;
+    /// The slot owning a DAG.
+    fn owner_of(&self, dag: DagId) -> usize;
+    /// Called after each `plan_one` on `owner`; `true` means the owner
+    /// just died (a fault-injected mid-plan crash), so this cycle's plans
+    /// from it never reach the client.
+    fn planned_one(&mut self, _owner: usize) -> bool {
+        false
+    }
+}
+
+impl ServerSet for SphinxServer {
+    fn slots(&self) -> usize {
+        1
+    }
+
+    fn server(&self, i: usize) -> Option<&SphinxServer> {
+        (i == 0).then_some(self)
+    }
+
+    fn server_mut(&mut self, i: usize) -> Option<&mut SphinxServer> {
+        (i == 0).then_some(self)
+    }
+
+    fn owner_of(&self, _dag: DagId) -> usize {
+        0
+    }
+}
+
+/// Planning order: earliest deadline first, then higher user priority,
+/// then stable (dag, index) order.
+fn planning_key(e: &ReadyEntry) -> (SimTime, std::cmp::Reverse<u32>, DagId, u32) {
+    (
+        e.deadline.unwrap_or(SimTime::MAX),
+        std::cmp::Reverse(e.priority),
+        e.job.dag,
+        e.job.index,
+    )
+}
+
+/// One planner pass over one or many servers sharing one
+/// [`SchedulerState`]: prolog, reduce, predict, plan, epilog.
+///
+/// Every stage runs in an order that is a pure function of global state,
+/// never of how DAGs are spread over servers: received DAGs are reduced
+/// in dag-id order, ready entries are merged and sorted into planning
+/// order, and cycle telemetry is emitted exactly once. A single server
+/// and any shard count therefore plan the same jobs onto the same sites.
+pub(crate) fn plan_pass(
+    set: &mut impl ServerSet,
+    sched: &mut SchedulerState,
+    telemetry: &Telemetry,
+    now: SimTime,
+    rls: &mut ReplicaService,
+    reports: &BTreeMap<SiteId, Report>,
+    transfers: &TransferModel,
+) -> CoreResult<Vec<PlanNotice>> {
+    cycle_prolog(telemetry, sched, now, reports);
+    // Phase spans mark the FSA pipeline stages inside one plan cycle;
+    // instantaneous in sim time (the cycle itself consumes no simulated
+    // duration) but causally ordered by span id.
+    let reduce_span = telemetry.span_start("phase:reduce", now);
+    let mut received: Vec<(usize, DagRow)> = Vec::new();
+    for i in 0..set.slots() {
+        if let Some(server) = set.server(i) {
+            received.extend(server.received_dags()?.into_iter().map(|row| (i, row)));
+        }
+    }
+    received.sort_by_key(|(_, row)| row.id);
+    for (i, row) in &received {
+        if let Some(server) = set.server_mut(*i) {
+            server.reduce_dag_row(row, rls, now)?;
+        }
+    }
+    telemetry.span_end(reduce_span, now);
+    let predict_span = telemetry.span_start("phase:predict", now);
+    // The frontiers' ready sets mirror the `Ready` rows exactly and avoid
+    // deserializing the whole job table every cycle.
+    let mut entries = Vec::new();
+    for i in 0..set.slots() {
+        if let Some(server) = set.server(i) {
+            server.ready_entries(sched, &mut entries);
+        }
+    }
+    // Planning order (QoS + §5 "policy and priorities of these jobs").
+    // Deadlines and priorities come from the in-memory DAG metadata (no
+    // row decode). One server's entries arrive in (dag, index) order, so
+    // the sort runs only when deadlines, priorities or the concatenation
+    // of several servers' entries can change that order.
+    if !entries.is_sorted_by_key(planning_key) {
+        entries.sort_by_key(planning_key);
+    }
+    // QoS fast lane: while deadline work is pending, reserve the
+    // fastest-predicted site for it by steering deadline-free jobs
+    // elsewhere (soft reservation — it is released the moment no deadline
+    // DAG has ready work).
+    let fast_lane = if entries.iter().any(|e| e.deadline.is_some()) {
+        (0..set.slots())
+            .find_map(|i| set.server(i))
+            .and_then(|server| server.fast_lane_site(sched))
+    } else {
+        None
+    };
+    telemetry.span_end(predict_span, now);
+    let plan_span = telemetry.span_start("phase:plan", now);
+    // The monotonicity argument that makes the lazy ranking exact only
+    // holds within one plan phase; start every cycle cold.
+    sched.score_cache.begin_cycle();
+    let mut plans = Vec::new();
+    for entry in &entries {
+        let owner = set.owner_of(entry.job.dag);
+        let Some(server) = set.server_mut(owner) else {
+            continue; // owner crashed mid-cycle; replanned after adoption
+        };
+        if let Some(plan) =
+            server.plan_one(sched, entry.job, fast_lane, now, rls, reports, transfers)?
+        {
+            plans.push(plan);
+        }
+        if set.planned_one(owner) {
+            plans.retain(|p| set.owner_of(p.job.dag) != owner);
+        }
+    }
+    cycle_epilog(telemetry, sched);
+    telemetry.span_end(plan_span, now);
+    Ok(plans)
 }
 
 impl std::fmt::Debug for SphinxServer {

@@ -31,38 +31,53 @@
 //! — the one component the paper keeps *outside* the server precisely so
 //! it survives server deaths ([`SphinxServer::reconcile_inflight`]).
 //!
+//! **One loop.** [`ShardedRuntime`] is the same [`Runtime`] event loop as
+//! the unsharded [`SphinxRuntime`], over the [`ShardSet`] scheduler tier
+//! instead of a single server. The loop owns the grid, monitor, client,
+//! ops plane, wakeups, planner-tick skeleton (track → plan → submit → ops
+//! → reschedule) and report assembly; the tier adds only what is truly
+//! sharded — routing with at-least-once delivery, the lease heartbeat and
+//! adoption, the quota-ledger debit, the [`CrashPoint`] hooks and the
+//! coordination hub. Planning is the one plan pass every deployment uses,
+//! run over all live shards at once.
+//!
 //! **Determinism.** A crash-free run is invariant to the shard count:
 //! DAG reduction, planning and report handling all happen in a global
 //! deterministic order (dag-id order, sorted ready entries, inbox
 //! sequence order), and per-cycle telemetry is emitted once per *global*
 //! cycle. Crash runs are reproducible: the same seed and the same
 //! [`ShardCrash`] schedule give the same report, byte for byte.
+//!
+//! A one-shard run and the unsharded runtime produce the same trace, span
+//! forest and post-run analysis, byte for byte. Their [`RunReport`]s
+//! differ in exactly two places: the `db.*`/`wal.*` counters are on the
+//! coordination hub here, not in the report's telemetry, and per-site
+//! `avg_completion_secs` comes from the global prediction ledger's mean
+//! rather than the unsharded statistics row's sum ÷ count, so the two can
+//! differ in the last bits.
+//!
+//! [`Runtime`]: crate::runtime::Runtime
+//! [`SphinxRuntime`]: crate::runtime::SphinxRuntime
+//! [`RunReport`]: crate::RunReport
 
-use crate::client::{ClientConfig, SphinxClient};
+use crate::client::SphinxClient;
 use crate::error::{CoreError, CoreResult};
-use crate::messages::{PlanNotice, StatusReport, INBOX, OUTBOX};
-use crate::report::{RunReport, SiteOutcome};
-use crate::runtime::RuntimeConfig;
-use crate::server::{
-    cycle_epilog, cycle_prolog, sort_entries, SchedulerState, ServerConfig, SphinxServer,
-};
-use crate::state::{DagRow, JobRow, SiteStatsRow};
+use crate::messages::{PlanNotice, StatusReport};
+use crate::runtime::{Runtime, RuntimeConfig, SchedulerTier};
+use crate::server::{plan_pass, SchedulerState, ServerSet, ServerStats, SphinxServer};
+use crate::state::SiteStatsRow;
 use crate::strategy::SiteInfo;
 use serde::{Deserialize, Serialize};
 use sphinx_dag::{Dag, DagId};
-use sphinx_data::{SiteId, TransferModel};
+use sphinx_data::{ReplicaService, SiteId, TransferModel};
 use sphinx_db::{Database, DbConfig, MemWal, Queue, Record};
-use sphinx_grid::{GridSim, Notification};
-use sphinx_monitor::{Monitor, Report};
+use sphinx_grid::GridSim;
+use sphinx_monitor::Report;
 use sphinx_policy::{PolicyEngine, UserId};
 use sphinx_sim::{Duration, SimTime};
 use sphinx_telemetry::{Telemetry, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-const TOKEN_PLANNER: u64 = 1;
-const TOKEN_MONITOR: u64 = 2;
-const TOKEN_TIMEOUT: u64 = 3;
 
 /// SplitMix64 finalizer: the DAG-id partition hash. Chosen because it is
 /// trivially portable (the partition must be identical on every shard and
@@ -240,44 +255,39 @@ pub struct AdoptionRecord {
     pub redelivered: u64,
 }
 
-/// One live scheduler shard: a server over its own WAL-backed database.
-struct Shard {
-    server: SphinxServer,
-    db: Arc<Database>,
-    ns: String,
-}
-
-/// N SPHINX servers over a partitioned DAG space, one grid.
+/// The sharded scheduler tier: N [`SphinxServer`]s over a partitioned DAG
+/// space, one shared [`SchedulerState`], and the coordination tables.
 ///
-/// See the module docs for the protocol; see [`SphinxRuntime`] for the
-/// unsharded equivalent this mirrors tick for tick.
+/// It implements only what is truly sharded — report routing with
+/// at-least-once delivery, lease heartbeat and adoption, the quota-ledger
+/// debit, the crash hooks and the coordination hub; the event loop, the
+/// plan pass and the report are the ones [`SphinxRuntime`] uses.
 ///
 /// [`SphinxRuntime`]: crate::runtime::SphinxRuntime
-pub struct ShardedRuntime {
-    grid: GridSim,
-    monitor: Monitor,
-    client: SphinxClient,
+pub struct ShardSet {
     /// Coordination database: global message queues, lease/epoch tables,
     /// quota-lease ledger. *Not* WAL-backed — it stands in for the
     /// paper's central DBMS, which is assumed durable.
     coord_db: Arc<Database>,
+    /// One server per shard, each over its own WAL-backed database;
     /// `None` marks a crashed shard.
-    shards: Vec<Option<Shard>>,
+    shards: Vec<Option<SphinxServer>>,
     wals: ShardWalSet,
     /// The one global planning state (see [`SchedulerState`]).
     sched: SchedulerState,
-    config: RuntimeConfig,
     shard_config: ShardConfig,
-    transfer_model: TransferModel,
     /// Run-comparable telemetry: grid, monitor, servers, per-cycle
     /// planner events. Invariant to the shard count on crash-free runs.
     report_hub: Arc<Telemetry>,
     /// Coordination telemetry: WAL/db activity, leases, heartbeats,
     /// adoptions. Varies with the shard count by construction, so it is
-    /// kept off the [`RunReport`].
+    /// kept off the [`RunReport`](crate::RunReport).
     coord_hub: Arc<Telemetry>,
-    started: bool,
+    /// Global planner cycles completed.
     cycle: u64,
+    /// `plan_one` calls per shard in the current cycle (what a
+    /// [`CrashPoint::MidPlan`] counts).
+    plan_calls: Vec<usize>,
     epoch: u64,
     submitted_dags: u64,
     /// Partition slot → currently owning shard (identity until failovers
@@ -292,28 +302,16 @@ pub struct ShardedRuntime {
     ns_names: Vec<String>,
 }
 
-impl ShardedRuntime {
-    /// Assemble a sharded deployment over a grid.
-    pub fn new(mut grid: GridSim, config: RuntimeConfig, shard_config: ShardConfig) -> Self {
+impl ShardSet {
+    fn new(catalog: Vec<SiteInfo>, config: &RuntimeConfig, shard_config: ShardConfig) -> Self {
         let n = shard_config.shards.max(1);
-        let catalog: Vec<SiteInfo> = grid
-            .site_specs()
-            .iter()
-            .map(|s| SiteInfo {
-                id: s.id,
-                name: s.name.clone(),
-                cpus: s.cpus,
-            })
-            .collect();
-        let transfer_model = grid.transfer_model().clone();
         let report_hub = Arc::new(Telemetry::with_config(config.telemetry.clone()));
         let coord_hub = Arc::new(Telemetry::with_config(config.telemetry.clone()));
-        grid.set_telemetry(Arc::clone(&report_hub));
         let coord_db = Arc::new(Database::in_memory());
         coord_db.attach_telemetry(Arc::clone(&coord_hub));
         let mut wals = ShardWalSet::default();
         let mut shards = Vec::with_capacity(n);
-        for i in 0..n {
+        for _ in 0..n {
             let wal = MemWal::shared();
             wals.register(wal.clone());
             let db = Arc::new(Database::with_wal_and_config(
@@ -321,45 +319,20 @@ impl ShardedRuntime {
                 shard_config.db_config,
             ));
             db.attach_telemetry(Arc::clone(&coord_hub));
-            let mut server = SphinxServer::new(
-                Arc::clone(&db),
-                catalog.clone(),
-                ServerConfig {
-                    strategy: config.strategy,
-                    feedback: config.feedback,
-                    policy_enabled: config.policy_enabled,
-                    archive_site: config.archive_site,
-                    score_cache: config.score_cache,
-                    ops_fast_path: config.ops_fast_path,
-                },
-            );
+            let mut server = SphinxServer::new(db, catalog.clone(), config.server_config());
             server.set_telemetry(Arc::clone(&report_hub));
-            shards.push(Some(Shard {
-                server,
-                db,
-                ns: format!("shard{i}"),
-            }));
+            shards.push(Some(server));
         }
-        let client = SphinxClient::new(ClientConfig {
-            timeout: config.timeout,
-        });
-        let mut monitor = Monitor::new(config.monitor.clone(), config.seed);
-        monitor.set_telemetry(Arc::clone(&report_hub));
-        ShardedRuntime {
-            grid,
-            monitor,
-            client,
+        ShardSet {
             coord_db,
             shards,
             wals,
             sched: SchedulerState::default(),
-            config,
             shard_config,
-            transfer_model,
             report_hub,
             coord_hub,
-            started: false,
             cycle: 0,
+            plan_calls: vec![0; n],
             epoch: 0,
             submitted_dags: 0,
             remap: (0..n).collect(),
@@ -369,169 +342,9 @@ impl ShardedRuntime {
         }
     }
 
-    /// The partition slot of a DAG id: an explicit assignment if the
-    /// config has one, else the salted SplitMix64 hash. Pure function of
-    /// (id, config) — every run and every shard agrees on it.
-    fn slot_of(&self, dag: DagId) -> usize {
-        let n = self.remap.len().max(1);
-        if let Some(assignments) = &self.shard_config.assignments {
-            if let Some(&s) = assignments.get(&dag.0) {
-                return s % n;
-            }
-        }
-        (splitmix64(dag.0 ^ self.shard_config.partition_salt) % n as u64) as usize
-    }
-
-    /// The shard currently owning a DAG id (its partition slot, remapped
-    /// through any completed failovers).
-    pub fn owner_of(&self, dag: DagId) -> usize {
-        let slot = self.slot_of(dag);
-        self.remap.get(slot).copied().unwrap_or(0)
-    }
-
-    /// Number of shards still alive.
-    pub fn alive_shards(&self) -> usize {
-        self.shards.iter().flatten().count()
-    }
-
-    /// The precomputed `shard{i}` namespace name. Shard indices are
-    /// internal and always in range; the fallback only guards against a
-    /// future refactor breaking that invariant without a panic path.
-    fn shard_ns(&self, i: usize) -> &str {
-        self.ns_names.get(i).map_or("shard-invalid", String::as_str)
-    }
-
-    /// The underlying grid (e.g. to pre-seed replicas before submitting).
-    pub fn grid_mut(&mut self) -> &mut GridSim {
-        &mut self.grid
-    }
-
-    /// The tracker.
-    pub fn client(&self) -> &SphinxClient {
-        &self.client
-    }
-
-    /// The shared policy engine (to register VOs, users and quotas).
-    pub fn policy_mut(&mut self) -> &mut PolicyEngine {
-        &mut self.sched.policy
-    }
-
-    /// The run-comparable telemetry hub (grid + monitor + servers).
-    pub fn telemetry(&self) -> &Arc<Telemetry> {
-        &self.report_hub
-    }
-
-    /// The coordination telemetry hub (leases, heartbeats, adoptions,
-    /// WAL/db activity).
-    pub fn coord_telemetry(&self) -> &Arc<Telemetry> {
-        &self.coord_hub
-    }
-
-    /// Every adoption performed so far, in order.
-    pub fn adoptions(&self) -> &[AdoptionRecord] {
-        &self.adoptions
-    }
-
-    /// The current deployment epoch (bumped once per adoption).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The global quota-lease ledger rows, in site order.
-    pub fn site_ledger(&self) -> CoreResult<Vec<SiteLeaseRow>> {
-        Ok(self.coord_db.scan::<SiteLeaseRow>()?)
-    }
-
-    /// One shard's quota-lease ledger rows, in site order.
-    pub fn site_ledger_of(&self, shard: usize) -> CoreResult<Vec<SiteLeaseRow>> {
-        Ok(self
-            .coord_db
-            .namespace_ref(self.shard_ns(shard))
-            .scan::<SiteLeaseRow>()?)
-    }
-
-    /// Submit a DAG on behalf of a user, routed to its partition owner.
-    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) -> CoreResult<()> {
-        self.submit(dag, user, None)
-    }
-
-    /// Submit a DAG with a QoS deadline relative to now.
-    pub fn submit_dag_with_deadline(
-        &mut self,
-        dag: &Dag,
-        user: UserId,
-        within: Duration,
-    ) -> CoreResult<()> {
-        let deadline = Some(self.grid.now() + within);
-        self.submit(dag, user, deadline)
-    }
-
-    fn submit(&mut self, dag: &Dag, user: UserId, deadline: Option<SimTime>) -> CoreResult<()> {
-        let now = self.grid.now();
-        let owner = self.owner_of(dag.id);
-        let Some(shard) = self.shards.get_mut(owner).and_then(|s| s.as_mut()) else {
-            return Err(CoreError::Invariant(
-                "dag routed to a dead, unadopted shard",
-            ));
-        };
-        shard
-            .server
-            .submit_dag_with_deadline(dag, user, now, deadline)?;
-        self.submitted_dags += 1;
-        Ok(())
-    }
-
-    /// True when every submitted DAG reached `Finished` on a live shard.
-    /// A dead shard's finished DAGs stop counting until adopted, which is
-    /// what keeps the event loop driving through a failover.
-    pub fn all_finished(&self) -> bool {
-        if self.submitted_dags == 0 {
-            return false;
-        }
-        let finished: u64 = self
-            .shards
-            .iter()
-            .flatten()
-            .map(|s| s.server.progress().1)
-            .sum();
-        finished == self.submitted_dags
-    }
-
-    fn schedule_initial_wakeups(&mut self) -> CoreResult<()> {
-        if self.started {
-            return Ok(());
-        }
-        self.started = true;
-        let now = self.grid.now();
-        self.grid
-            .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
-        self.grid.schedule_wakeup(now, TOKEN_MONITOR);
-        self.grid
-            .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
-        self.coord_db.put(&EpochRow { id: 0, epoch: 0 })?;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if shard.is_some() {
-                self.coord_db.put(&LeaseRow {
-                    shard: i as u64,
-                    epoch: 0,
-                    last_heartbeat: now,
-                    alive: true,
-                })?;
-                self.coord_hub.counter_add("shard.leases.granted", 1);
-                self.coord_hub.trace(
-                    TraceKind::LeaseGranted,
-                    now,
-                    None,
-                    None,
-                    format!("shard={i} epoch=0"),
-                );
-            }
-        }
-        Ok(())
-    }
-
     /// Crash every shard scheduled for (`cycle`, `point`).
-    fn apply_crashes(&mut self, cycle: u64, point: CrashPoint) {
+    fn apply_crashes(&mut self, point: CrashPoint) {
+        let cycle = self.cycle;
         let due: Vec<usize> = self
             .shard_config
             .crashes
@@ -555,14 +368,218 @@ impl ShardedRuntime {
         }
     }
 
-    /// Route one tracker report to the owning shard, or park it in the
+    /// Adopt a dead shard's DAGs into the lowest surviving shard.
+    ///
+    /// Order matters and is load-bearing:
+    ///
+    /// 1. Recover the dead shard's WAL segment and copy its rows
+    ///    ([`SphinxServer::adopt_from`] — in-flight attempts stay in
+    ///    flight, because the grid and tracker survived).
+    /// 2. Re-deliver its un-acked local inbox, then the coordinator's
+    ///    orphaned reports for the adopted DAGs. This must precede step 3:
+    ///    a completion that arrived while the shard was dead removed the
+    ///    job from the tracker, and reconciling first would misread that
+    ///    as planned-but-never-submitted and double-submit the job.
+    /// 3. Reconcile remaining in-flight rows against the tracker
+    ///    ([`SphinxServer::reconcile_inflight`]).
+    /// 4. Fold the dead shard's quota-lease ledger into the adopter's and
+    ///    remap the dead partition slots.
+    fn adopt(&mut self, dead: usize, client: &SphinxClient, now: SimTime) -> CoreResult<()> {
+        let Some(adopter) = self.shards.iter().position(|s| s.is_some()) else {
+            return Ok(()); // no survivors; the run will report unfinished
+        };
+        // sphinx-lint: allow(shard-wal-read)
+        let Some(segment) = self.wals.segment_of(dead) else {
+            return Ok(());
+        };
+        let donor = Database::recover_with_config(Box::new(segment), self.shard_config.db_config)?;
+        let replayed = donor.replayed();
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.coord_db.update::<EpochRow>(0, |e| e.epoch = epoch)?;
+        let mut record = AdoptionRecord {
+            dead,
+            adopter,
+            epoch,
+            replayed,
+            dags: Vec::new(),
+            reset: 0,
+            repaired: 0,
+            redelivered: 0,
+        };
+        let orphans = std::mem::take(&mut self.orphans);
+        let mut kept = Vec::new();
+        {
+            let ShardSet {
+                shards,
+                sched,
+                ns_names,
+                ..
+            } = &mut *self;
+            let Some(server) = shards.get_mut(adopter).and_then(|s| s.as_mut()) else {
+                self.orphans = orphans;
+                return Ok(());
+            };
+            record.dags = server.adopt_from(&donor, now)?;
+            let adopted: BTreeSet<DagId> = record.dags.iter().copied().collect();
+            // Un-acked reports the dead shard pushed to its local inbox
+            // but crashed before acknowledging (at-least-once delivery;
+            // the FSA guards make re-handling idempotent).
+            let adopter_ns = ns_of(ns_names, adopter);
+            let pending: Queue<StatusReport> =
+                Queue::namespaced(&donor, ns_of(ns_names, dead), "inbox");
+            for report in pending.peek_all()? {
+                deliver_at_least_once(server, adopter_ns, sched, report, now)?;
+                record.redelivered += 1;
+            }
+            for report in orphans {
+                if adopted.contains(&report.job().dag) {
+                    deliver_at_least_once(server, adopter_ns, sched, report, now)?;
+                    record.redelivered += 1;
+                } else {
+                    kept.push(report);
+                }
+            }
+            let tracked = client.tracked_jobs();
+            let (reset, repaired) =
+                server.reconcile_inflight(sched, &record.dags, &tracked, now)?;
+            record.reset = reset;
+            record.repaired = repaired;
+        }
+        self.orphans = kept;
+        self.fold_ledger(dead, adopter)?;
+        for slot in self.remap.iter_mut() {
+            if *slot == dead {
+                *slot = adopter;
+            }
+        }
+        self.coord_hub.counter_add("shard.adoptions", 1);
+        self.coord_hub.trace(
+            TraceKind::ShardAdoption,
+            now,
+            None,
+            None,
+            format!(
+                "dead={dead} adopter={adopter} epoch={epoch} dags={} replayed={replayed}",
+                record.dags.len()
+            ),
+        );
+        self.adoptions.push(record);
+        Ok(())
+    }
+
+    /// Fold a dead shard's ledger rows into its adopter's (merge-add,
+    /// then delete), preserving `global == Σ shards` through failover.
+    fn fold_ledger(&self, dead: usize, adopter: usize) -> CoreResult<()> {
+        let from = self.coord_db.namespace_ref(ns_of(&self.ns_names, dead));
+        let to = self.coord_db.namespace_ref(ns_of(&self.ns_names, adopter));
+        for row in from.scan::<SiteLeaseRow>()? {
+            let key = row.site as u64;
+            if !to.contains::<SiteLeaseRow>(key) {
+                to.put(&SiteLeaseRow {
+                    site: row.site,
+                    ..SiteLeaseRow::default()
+                })?;
+            }
+            to.update::<SiteLeaseRow>(key, |l| {
+                l.cpu_seconds += row.cpu_seconds;
+                l.jobs += row.jobs;
+            })?;
+            from.delete::<SiteLeaseRow>(key)?;
+        }
+        Ok(())
+    }
+}
+
+impl SchedulerTier for ShardSet {
+    fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.report_hub
+    }
+
+    /// The global queues live on the coordination database.
+    fn queues(&self) -> &Arc<Database> {
+        &self.coord_db
+    }
+
+    fn policy_mut(&mut self) -> &mut PolicyEngine {
+        &mut self.sched.policy
+    }
+
+    /// Route the DAG to its partition owner.
+    fn submit(
+        &mut self,
+        dag: &Dag,
+        user: UserId,
+        now: SimTime,
+        deadline: Option<SimTime>,
+    ) -> CoreResult<()> {
+        let owner = self.owner_of(dag.id);
+        let Some(server) = self.shards.get_mut(owner).and_then(|s| s.as_mut()) else {
+            return Err(CoreError::Invariant(
+                "dag routed to a dead, unadopted shard",
+            ));
+        };
+        server.submit_dag_with_deadline(dag, user, now, deadline)?;
+        self.submitted_dags += 1;
+        Ok(())
+    }
+
+    /// A dead shard's finished DAGs stop counting until adopted, which is
+    /// what keeps the event loop driving through a failover.
+    fn all_finished(&self) -> bool {
+        if self.submitted_dags == 0 {
+            return false;
+        }
+        let finished: u64 = self.shards.iter().flatten().map(|s| s.progress().1).sum();
+        finished == self.submitted_dags
+    }
+
+    /// Write the epoch row and grant every shard its lease.
+    fn first_drive(&mut self, now: SimTime) -> CoreResult<()> {
+        self.coord_db.put(&EpochRow { id: 0, epoch: 0 })?;
+        for (i, shard) in self.shards.iter().enumerate() {
+            if shard.is_some() {
+                self.coord_db.put(&LeaseRow {
+                    shard: i as u64,
+                    epoch: 0,
+                    last_heartbeat: now,
+                    alive: true,
+                })?;
+                self.coord_hub.counter_add("shard.leases.granted", 1);
+                self.coord_hub.trace(
+                    TraceKind::LeaseGranted,
+                    now,
+                    None,
+                    None,
+                    format!("shard={i} epoch=0"),
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn begin_tick(&mut self) {
+        self.plan_calls.fill(0);
+        self.apply_crashes(CrashPoint::BeforeTick);
+    }
+
+    /// Route one report to the shard owning its DAG, or park it in the
     /// orphan buffer if that shard is dead and not yet adopted.
-    fn route_report(&mut self, report: StatusReport, now: SimTime) -> CoreResult<()> {
+    fn deliver(&mut self, report: StatusReport, now: SimTime) -> CoreResult<()> {
         let owner = self.owner_of(report.job().dag);
-        match self.shards.get_mut(owner).and_then(|s| s.as_mut()) {
-            Some(shard) => deliver(shard, &mut self.sched, &report, now),
+        let ShardSet {
+            shards,
+            sched,
+            ns_names,
+            orphans,
+            ..
+        } = self;
+        match shards.get_mut(owner).and_then(|s| s.as_mut()) {
+            Some(server) => {
+                deliver_at_least_once(server, ns_of(ns_names, owner), sched, report, now)
+            }
             None => {
-                self.orphans.push(report);
+                orphans.push(report);
                 Ok(())
             }
         }
@@ -572,7 +589,7 @@ impl ShardedRuntime {
     /// adopt their DAGs. Detection is purely table-driven: a shard is
     /// dead *because* its lease row went stale, not because anyone saw it
     /// die.
-    fn heartbeat_and_adopt(&mut self, now: SimTime) -> CoreResult<()> {
+    fn after_track(&mut self, client: &SphinxClient, now: SimTime) -> CoreResult<()> {
         let epoch = self.epoch;
         let alive: Vec<u64> = self
             .shards
@@ -607,118 +624,33 @@ impl ShardedRuntime {
                 None,
                 format!("shard={dead}"),
             );
-            self.adopt(dead as usize, now)?;
+            self.adopt(dead as usize, client, now)?;
         }
         Ok(())
     }
 
-    /// Adopt a dead shard's DAGs into the lowest surviving shard.
-    ///
-    /// Order matters and is load-bearing:
-    ///
-    /// 1. Recover the dead shard's WAL segment and copy its rows
-    ///    ([`SphinxServer::adopt_from`] — in-flight attempts stay in
-    ///    flight, because the grid and tracker survived).
-    /// 2. Re-deliver its un-acked local inbox, then the coordinator's
-    ///    orphaned reports for the adopted DAGs. This must precede step 3:
-    ///    a completion that arrived while the shard was dead removed the
-    ///    job from the tracker, and reconciling first would misread that
-    ///    as planned-but-never-submitted and double-submit the job.
-    /// 3. Reconcile remaining in-flight rows against the tracker
-    ///    ([`SphinxServer::reconcile_inflight`]).
-    /// 4. Fold the dead shard's quota-lease ledger into the adopter's and
-    ///    remap the dead partition slots.
-    fn adopt(&mut self, dead: usize, now: SimTime) -> CoreResult<()> {
-        let Some(adopter) = self.shards.iter().position(|s| s.is_some()) else {
-            return Ok(()); // no survivors; the run will report unfinished
-        };
-        // sphinx-lint: allow(shard-wal-read)
-        let Some(segment) = self.wals.segment_of(dead) else {
-            return Ok(());
-        };
-        let donor = Database::recover_with_config(Box::new(segment), self.shard_config.db_config)?;
-        let replayed = donor.replayed();
-        self.epoch += 1;
-        let epoch = self.epoch;
-        self.coord_db.update::<EpochRow>(0, |e| e.epoch = epoch)?;
-        let mut record = AdoptionRecord {
-            dead,
-            adopter,
-            epoch,
-            replayed,
-            dags: Vec::new(),
-            reset: 0,
-            repaired: 0,
-            redelivered: 0,
-        };
-        let orphans = std::mem::take(&mut self.orphans);
-        let mut kept = Vec::new();
-        {
-            let Some(shard) = self.shards.get_mut(adopter).and_then(|s| s.as_mut()) else {
-                self.orphans = orphans;
-                return Ok(());
-            };
-            record.dags = shard.server.adopt_from(&donor, now)?;
-            let adopted: BTreeSet<DagId> = record.dags.iter().copied().collect();
-            // Un-acked reports the dead shard pushed to its local inbox
-            // but crashed before acknowledging (at-least-once delivery;
-            // the FSA guards make re-handling idempotent).
-            // Field access, not `shard_ns()`: `shard` mutably borrows
-            // `self.shards`, so only a disjoint-field borrow compiles.
-            let dead_ns = self
-                .ns_names
-                .get(dead)
-                .map_or("shard-invalid", String::as_str);
-            let pending: Queue<StatusReport> = Queue::namespaced(&donor, dead_ns, "inbox");
-            for report in pending.peek_all()? {
-                deliver(shard, &mut self.sched, &report, now)?;
-                record.redelivered += 1;
-            }
-            for report in orphans {
-                if adopted.contains(&report.job().dag) {
-                    deliver(shard, &mut self.sched, &report, now)?;
-                    record.redelivered += 1;
-                } else {
-                    kept.push(report);
-                }
-            }
-            let tracked = self.client.tracked_jobs();
-            let (reset, repaired) =
-                shard
-                    .server
-                    .reconcile_inflight(&mut self.sched, &record.dags, &tracked, now)?;
-            record.reset = reset;
-            record.repaired = repaired;
-        }
-        self.orphans = kept;
-        self.fold_ledger(dead, adopter)?;
-        for slot in self.remap.iter_mut() {
-            if *slot == dead {
-                *slot = adopter;
-            }
-        }
-        self.coord_hub.counter_add("shard.adoptions", 1);
-        self.coord_hub.trace(
-            TraceKind::ShardAdoption,
-            now,
-            None,
-            None,
-            format!(
-                "dead={dead} adopter={adopter} epoch={epoch} dags={} replayed={replayed}",
-                record.dags.len()
-            ),
-        );
-        self.adoptions.push(record);
-        Ok(())
+    fn plan_ready(
+        &mut self,
+        now: SimTime,
+        rls: &mut ReplicaService,
+        reports: &BTreeMap<SiteId, Report>,
+        transfers: &TransferModel,
+    ) -> CoreResult<Vec<PlanNotice>> {
+        let mut sched = std::mem::take(&mut self.sched);
+        let hub = Arc::clone(&self.report_hub);
+        let result = plan_pass(self, &mut sched, &hub, now, rls, reports, transfers);
+        self.sched = sched;
+        result
     }
 
     /// Debit one plan against the quota-lease ledger: the owning shard's
     /// namespaced row and the global accounting row move together.
-    fn debit_ledger(&self, owner: usize, plan: &PlanNotice) -> CoreResult<()> {
+    fn debit(&self, plan: &PlanNotice) -> CoreResult<()> {
         let site = plan.site.0;
         let key = site as u64;
         let cpu = plan.compute.as_secs_f64().ceil() as u64;
-        let ns = self.coord_db.namespace_ref(self.shard_ns(owner));
+        let owner = self.owner_of(plan.job.dag);
+        let ns = self.coord_db.namespace_ref(ns_of(&self.ns_names, owner));
         if !ns.contains::<SiteLeaseRow>(key) {
             ns.put(&SiteLeaseRow {
                 site,
@@ -742,388 +674,171 @@ impl ShardedRuntime {
         Ok(())
     }
 
-    /// Fold a dead shard's ledger rows into its adopter's (merge-add,
-    /// then delete), preserving `global == Σ shards` through failover.
-    fn fold_ledger(&self, dead: usize, adopter: usize) -> CoreResult<()> {
-        let from = self.coord_db.namespace_ref(self.shard_ns(dead));
-        let to = self.coord_db.namespace_ref(self.shard_ns(adopter));
-        for row in from.scan::<SiteLeaseRow>()? {
-            let key = row.site as u64;
-            if !to.contains::<SiteLeaseRow>(key) {
-                to.put(&SiteLeaseRow {
-                    site: row.site,
-                    ..SiteLeaseRow::default()
-                })?;
-            }
-            to.update::<SiteLeaseRow>(key, |l| {
-                l.cpu_seconds += row.cpu_seconds;
-                l.jobs += row.jobs;
-            })?;
-            from.delete::<SiteLeaseRow>(key)?;
+    fn apply_ops_flag(&mut self, site: SiteId, now: SimTime) {
+        if let Some(server) = self.shards.iter().flatten().next() {
+            server.apply_ops_flag_shared(&mut self.sched, site, now);
         }
-        Ok(())
     }
 
-    // sphinx-hot
-    fn planner_tick(&mut self) -> CoreResult<()> {
-        let cycle = self.cycle;
+    /// Tear the final WAL line of any shard scheduled to die mid-append.
+    fn end_tick(&mut self) {
+        self.apply_crashes(CrashPoint::TornWal);
         self.cycle += 1;
-        self.apply_crashes(cycle, CrashPoint::BeforeTick);
-        let now = self.grid.now();
-        // 1. Message handling: drain the global inbox in sequence order,
-        // routing each report to the shard owning its DAG.
-        let track_span = self.report_hub.span_start("phase:track", now);
-        let db = Arc::clone(&self.coord_db);
-        let inbox: Queue<StatusReport> = Queue::new(&db, INBOX);
-        for report in inbox.drain()? {
-            self.route_report(report, now)?;
-        }
-        self.report_hub.span_end(track_span, now);
-        // 2. Liveness: heartbeat, expire, adopt.
-        self.heartbeat_and_adopt(now)?;
-        // 3. Planning: one global cycle across every live shard.
-        let reports: BTreeMap<SiteId, Report> = self
-            .monitor
-            .reports(now)
-            .into_iter()
-            .map(|r| (r.site, r))
-            .collect();
-        let wall_start = self
-            .report_hub
-            .wall_clock_enabled()
-            .then(std::time::Instant::now); // sphinx-lint: allow(wall-clock)
-        let plans = self.plan_cycle(cycle, now, &reports)?;
-        if let Some(start) = wall_start {
-            self.report_hub
-                .observe("wall.plan_cycle_us", start.elapsed().as_micros() as f64);
-        }
-        // 4. Submission: plans travel through the global outbox table in
-        // planning order, debiting the quota-lease ledger on the way.
-        let submit_span = self.report_hub.span_start("phase:submit", now);
-        let outbox: Queue<PlanNotice> = Queue::new(&db, OUTBOX);
-        for (owner, plan) in &plans {
-            self.debit_ledger(*owner, plan)?;
-            outbox.push(plan)?;
-        }
-        for plan in outbox.drain()? {
-            self.client.submit_plan(&mut self.grid, &plan, now);
-        }
-        self.report_hub.span_end(submit_span, now);
-        self.grid
-            .schedule_wakeup(now + self.config.planner_period, TOKEN_PLANNER);
-        self.apply_crashes(cycle, CrashPoint::TornWal);
-        Ok(())
     }
 
-    fn plan_cycle(
-        &mut self,
-        cycle: u64,
-        now: SimTime,
-        reports: &BTreeMap<SiteId, Report>,
-    ) -> CoreResult<Vec<(usize, PlanNotice)>> {
-        let mut sched = std::mem::take(&mut self.sched);
-        let result = self.plan_cycle_inner(&mut sched, cycle, now, reports);
-        self.sched = sched;
-        result
+    fn servers(&self) -> Vec<&SphinxServer> {
+        self.shards.iter().flatten().collect()
     }
 
-    /// One global planner cycle. Every stage runs in an order that is a
-    /// pure function of global state, never of the partition: received
-    /// DAGs are reduced in dag-id order, ready entries are merged and
-    /// sorted into the same planning order a single server would use, and
-    /// cycle telemetry is emitted exactly once.
-    fn plan_cycle_inner(
-        &mut self,
-        sched: &mut SchedulerState,
-        cycle: u64,
-        now: SimTime,
-        reports: &BTreeMap<SiteId, Report>,
-    ) -> CoreResult<Vec<(usize, PlanNotice)>> {
-        cycle_prolog(&self.report_hub, sched, now, reports);
-        let reduce_span = self.report_hub.span_start("phase:reduce", now);
-        let mut received: Vec<(usize, DagRow)> = Vec::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Some(shard) = shard {
-                for row in shard.server.received_dags()? {
-                    received.push((i, row));
-                }
-            }
-        }
-        received.sort_by_key(|(_, r)| r.id);
+    fn stats(&self) -> ServerStats {
+        self.sched.stats
+    }
+
+    /// The *global* prediction ledger's mean (accumulated in global report
+    /// order), not a merge of per-shard float sums, so the average is
+    /// invariant to the partition.
+    fn site_average(&self, row: &SiteStatsRow) -> Option<f64> {
+        self.sched.prediction.average(SiteId(row.site))
+    }
+}
+
+impl ServerSet for ShardSet {
+    fn slots(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn server(&self, i: usize) -> Option<&SphinxServer> {
+        self.shards.get(i).and_then(Option::as_ref)
+    }
+
+    fn server_mut(&mut self, i: usize) -> Option<&mut SphinxServer> {
+        self.shards.get_mut(i).and_then(Option::as_mut)
+    }
+
+    /// The DAG's partition slot — an explicit assignment if the config
+    /// has one, else the salted SplitMix64 hash, so every run and every
+    /// shard agrees on it — remapped through any completed failovers.
+    fn owner_of(&self, dag: DagId) -> usize {
+        let n = self.remap.len().max(1);
+        let slot = match self
+            .shard_config
+            .assignments
+            .as_ref()
+            .and_then(|a| a.get(&dag.0))
         {
-            let ShardedRuntime { shards, grid, .. } = &mut *self;
-            for (i, row) in &received {
-                if let Some(shard) = shards.get_mut(*i).and_then(|s| s.as_mut()) {
-                    shard.server.reduce_dag_row(row, grid.rls_mut(), now)?;
-                }
-            }
-        }
-        self.report_hub.span_end(reduce_span, now);
-        let predict_span = self.report_hub.span_start("phase:predict", now);
-        let mut entries = Vec::new();
-        for shard in self.shards.iter().flatten() {
-            entries.extend(shard.server.ready_entries(sched));
-        }
-        // Concatenated per-shard entries are not globally ordered; the
-        // sort restores the exact order a single server would plan in
-        // (deadline, priority, dag, index — which degenerates to (dag,
-        // index) when neither deadlines nor priorities differ).
-        sort_entries(&mut entries);
-        let any_deadline = entries.iter().any(|e| e.deadline.is_some());
-        let fast_lane: Option<SiteId> = if any_deadline {
-            self.shards
-                .iter()
-                .flatten()
-                .next()
-                .and_then(|s| s.server.fast_lane_site(sched))
-        } else {
-            None
+            Some(&s) => s % n,
+            None => (splitmix64(dag.0 ^ self.shard_config.partition_salt) % n as u64) as usize,
         };
-        self.report_hub.span_end(predict_span, now);
-        let plan_span = self.report_hub.span_start("phase:plan", now);
-        sched.score_cache.begin_cycle();
-        let owners: Vec<usize> = entries.iter().map(|e| self.owner_of(e.job.dag)).collect();
-        let mut plans: Vec<(usize, PlanNotice)> = Vec::new();
-        let mut invocations: BTreeMap<usize, usize> = BTreeMap::new();
-        {
-            let ShardedRuntime {
-                shards,
-                grid,
-                transfer_model,
-                shard_config,
-                ..
-            } = &mut *self;
-            for (entry, &owner) in entries.iter().zip(owners.iter()) {
-                let Some(shard) = shards.get_mut(owner).and_then(|s| s.as_mut()) else {
-                    continue; // owner crashed mid-cycle; replanned after adoption
-                };
-                if let Some(plan) = shard.server.plan_one(
-                    sched,
-                    entry.job,
-                    fast_lane,
-                    now,
-                    grid.rls_mut(),
-                    reports,
-                    transfer_model,
-                )? {
-                    plans.push((owner, plan));
-                }
-                let count = invocations.entry(owner).or_insert(0);
-                *count += 1;
-                let k = *count;
-                if shard_config.crashes.iter().any(|c| {
-                    c.shard == owner && c.at_cycle == cycle && c.point == CrashPoint::MidPlan(k)
-                }) {
-                    // The shard dies with plan rows committed but none of
-                    // this cycle's plans handed to the client: the
-                    // planned-but-never-submitted torn shape.
-                    if let Some(slot) = shards.get_mut(owner) {
-                        let _ = slot.take();
-                    }
-                    plans.retain(|(o, _)| *o != owner);
-                }
-            }
-        }
-        cycle_epilog(&self.report_hub, sched);
-        self.report_hub.span_end(plan_span, now);
-        Ok(plans)
+        self.remap.get(slot).copied().unwrap_or(0)
     }
 
-    fn monitor_tick(&mut self) {
-        let now = self.grid.now();
-        let truth = self.grid.snapshots();
-        self.monitor.sample(now, &truth);
-        self.grid
-            .schedule_wakeup(now + self.config.monitor.update_period, TOKEN_MONITOR);
-    }
-
-    fn timeout_tick(&mut self) -> CoreResult<()> {
-        let now = self.grid.now();
-        let reports = self.client.scan_timeouts(&mut self.grid, now);
-        let inbox: Queue<StatusReport> = Queue::new(&self.coord_db, INBOX);
-        for report in reports {
-            inbox.push(&report)?;
-        }
-        self.grid
-            .schedule_wakeup(now + self.config.timeout_scan_period, TOKEN_TIMEOUT);
-        Ok(())
-    }
-
-    fn drive(&mut self, stop: SimTime) -> CoreResult<()> {
-        self.schedule_initial_wakeups()?;
-        let horizon = SimTime::ZERO + self.config.horizon;
-        let stop = stop.min(horizon);
-        while !self.all_finished() && self.grid.now() < stop {
-            if !self.grid.step() {
-                break;
-            }
-            let now = self.grid.now();
-            let notifications = self.grid.poll();
-            let db = Arc::clone(&self.coord_db);
-            let inbox: Queue<StatusReport> = Queue::new(&db, INBOX);
-            for n in notifications {
-                match n {
-                    Notification::Wakeup {
-                        token: TOKEN_PLANNER,
-                    } => self.planner_tick()?,
-                    Notification::Wakeup {
-                        token: TOKEN_MONITOR,
-                    } => self.monitor_tick(),
-                    Notification::Wakeup {
-                        token: TOKEN_TIMEOUT,
-                    } => self.timeout_tick()?,
-                    Notification::Wakeup { .. } => {}
-                    other => {
-                        if let Some(report) = self.client.on_notification(&other, now) {
-                            inbox.push(&report)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run until every DAG finishes, the grid drains, the horizon is hit,
-    /// or `stop_at` passes. Returns whether everything finished.
-    pub fn try_run_until(&mut self, stop_at: SimTime) -> CoreResult<bool> {
-        self.drive(stop_at)?;
-        Ok(self.all_finished())
-    }
-
-    /// Run to completion (or the horizon) and build the report.
-    pub fn try_run(&mut self) -> CoreResult<RunReport> {
-        self.drive(SimTime::MAX)?;
-        self.build_report()
-    }
-
-    /// Assemble the aggregate [`RunReport`] across every live shard.
-    ///
-    /// Aggregation is partition-invariant by construction: rows are
-    /// merged and sorted by id before any floating-point accumulation,
-    /// per-site tallies merge integers, and per-site completion averages
-    /// come from the *global* prediction ledger (accumulated in global
-    /// report order) rather than from per-shard float sums.
-    pub fn build_report(&self) -> CoreResult<RunReport> {
-        let mut dags: Vec<DagRow> = Vec::new();
-        let mut finished_jobs: Vec<JobRow> = Vec::new();
-        let mut eliminated = 0usize;
-        let mut tallies: BTreeMap<u32, SiteStatsRow> = BTreeMap::new();
-        for shard in self.shards.iter().flatten() {
-            let db = shard.server.database();
-            dags.extend(db.scan::<DagRow>()?);
-            finished_jobs
-                .extend(db.scan_where::<JobRow>("/state", &serde_json::json!("Finished"))?);
-            eliminated += db
-                .scan_where::<JobRow>("/state", &serde_json::json!("Eliminated"))?
-                .len();
-            for row in db.scan::<SiteStatsRow>()? {
-                let t = tallies.entry(row.site).or_insert_with(|| SiteStatsRow {
-                    site: row.site,
-                    ..SiteStatsRow::default()
-                });
-                t.completed += row.completed;
-                t.cancelled += row.cancelled;
-                t.completion_secs_sum += row.completion_secs_sum;
-                t.completion_samples += row.completion_samples;
-            }
-        }
-        dags.sort_by_key(|d| d.id);
-        finished_jobs.sort_by_key(|j| j.id.as_key());
-        let mut dag_completion_secs = Vec::new();
-        let mut deadlines_met = 0usize;
-        let mut deadlines_missed = 0usize;
-        for d in &dags {
-            if let Some(fin) = d.finished_at {
-                dag_completion_secs.push(fin.since(d.submitted_at).as_secs_f64());
-            }
-            if let Some(deadline) = d.deadline {
-                match d.finished_at {
-                    Some(fin) if fin <= deadline => deadlines_met += 1,
-                    _ => deadlines_missed += 1,
-                }
-            }
-        }
-        let avg_dag = if dag_completion_secs.is_empty() {
-            0.0
-        } else {
-            dag_completion_secs.iter().sum::<f64>() / dag_completion_secs.len() as f64
+    /// The shard dies with plan rows committed but none of this cycle's
+    /// plans handed to the client: the planned-but-never-submitted torn
+    /// shape.
+    fn planned_one(&mut self, owner: usize) -> bool {
+        let Some(calls) = self.plan_calls.get_mut(owner) else {
+            return false;
         };
-        let completed = finished_jobs.len();
-        let mut exec_sum = 0.0;
-        let mut idle_sum = 0.0;
-        for j in &finished_jobs {
-            exec_sum += j.exec_secs.unwrap_or(0.0);
-            idle_sum += j.idle_secs.unwrap_or(0.0);
+        *calls += 1;
+        let k = *calls;
+        let cycle = self.cycle;
+        let due =
+            self.shard_config.crashes.iter().any(|c| {
+                c.shard == owner && c.at_cycle == cycle && c.point == CrashPoint::MidPlan(k)
+            });
+        if due {
+            self.crash_shard(owner, false);
         }
-        let catalog: BTreeMap<SiteId, String> = self
-            .grid
-            .site_specs()
-            .iter()
-            .map(|s| (s.id, s.name.clone()))
-            .collect();
-        let sites = tallies
-            .values()
-            .map(|row| {
-                let site = SiteId(row.site);
-                SiteOutcome {
-                    site,
-                    name: catalog
-                        .get(&site)
-                        .cloned()
-                        .unwrap_or_else(|| format!("site{}", row.site)),
-                    completed: row.completed,
-                    cancelled: row.cancelled,
-                    avg_completion_secs: (self.sched.prediction.samples(site) > 0)
-                        .then(|| self.sched.prediction.average(site))
-                        .flatten(),
-                }
-            })
-            .collect();
-        let stats = self.sched.stats;
-        Ok(RunReport {
-            strategy: self.config.strategy.label().to_owned(),
-            feedback: self.config.feedback || self.config.strategy.implies_feedback(),
-            policy: self.config.policy_enabled,
-            seed: self.config.seed,
-            finished: self.all_finished(),
-            makespan_secs: self.grid.now().as_secs_f64(),
-            dags: dags.len(),
-            avg_dag_completion_secs: avg_dag,
-            dag_completion_secs,
-            jobs_completed: completed,
-            jobs_eliminated: eliminated,
-            avg_exec_secs: if completed > 0 {
-                exec_sum / completed as f64
-            } else {
-                0.0
-            },
-            avg_idle_secs: if completed > 0 {
-                idle_sum / completed as f64
-            } else {
-                0.0
-            },
-            plans: stats.plans,
-            timeouts: stats.reschedules_timeout,
-            holds: stats.reschedules_held,
-            deadlines_met,
-            deadlines_missed,
-            sites,
-            telemetry: self.report_hub.snapshot(),
-            analysis: self.report_hub.analyze(10),
-        })
+        due
+    }
+}
+
+/// N SPHINX servers over a partitioned DAG space, one grid, driven by the
+/// same event loop as the unsharded [`SphinxRuntime`].
+///
+/// [`SphinxRuntime`]: crate::runtime::SphinxRuntime
+pub type ShardedRuntime = Runtime<ShardSet>;
+
+impl ShardedRuntime {
+    /// Assemble a sharded deployment over a grid.
+    pub fn new(grid: GridSim, config: RuntimeConfig, shard_config: ShardConfig) -> Self {
+        let tier = ShardSet::new(SiteInfo::catalog(&grid), &config, shard_config);
+        Runtime::assemble(grid, config, tier)
+    }
+
+    /// The shard currently owning a DAG id (its partition slot, remapped
+    /// through any completed failovers).
+    pub fn owner_of(&self, dag: DagId) -> usize {
+        self.tier.owner_of(dag)
+    }
+
+    /// Number of shards still alive.
+    pub fn alive_shards(&self) -> usize {
+        self.tier.shards.iter().flatten().count()
+    }
+
+    /// The coordination telemetry hub (leases, heartbeats, adoptions,
+    /// WAL/db activity).
+    pub fn coord_telemetry(&self) -> &Arc<Telemetry> {
+        &self.tier.coord_hub
+    }
+
+    /// Every adoption performed so far, in order.
+    pub fn adoptions(&self) -> &[AdoptionRecord] {
+        &self.tier.adoptions
+    }
+
+    /// The current deployment epoch (bumped once per adoption).
+    pub fn epoch(&self) -> u64 {
+        self.tier.epoch
+    }
+
+    /// The global quota-lease ledger rows, in site order.
+    pub fn site_ledger(&self) -> CoreResult<Vec<SiteLeaseRow>> {
+        Ok(self.tier.coord_db.scan::<SiteLeaseRow>()?)
+    }
+
+    /// One shard's quota-lease ledger rows, in site order.
+    pub fn site_ledger_of(&self, shard: usize) -> CoreResult<Vec<SiteLeaseRow>> {
+        Ok(self
+            .tier
+            .coord_db
+            .namespace_ref(ns_of(&self.tier.ns_names, shard))
+            .scan::<SiteLeaseRow>()?)
+    }
+
+    /// Submit a DAG on behalf of a user, routed to its partition owner.
+    pub fn submit_dag(&mut self, dag: &Dag, user: UserId) -> CoreResult<()> {
+        self.try_submit_dag(dag, user, None)
+    }
+
+    /// Submit a DAG with a QoS deadline relative to now.
+    pub fn submit_dag_with_deadline(
+        &mut self,
+        dag: &Dag,
+        user: UserId,
+        within: Duration,
+    ) -> CoreResult<()> {
+        self.try_submit_dag(dag, user, Some(within))
     }
 }
 
 impl std::fmt::Debug for ShardedRuntime {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRuntime")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.tier.shards.len())
             .field("alive", &self.alive_shards())
-            .field("epoch", &self.epoch)
+            .field("epoch", &self.tier.epoch)
             .field("now", &self.grid.now())
             .finish()
     }
+}
+
+/// The precomputed `shard{i}` namespace name. Shard indices are internal
+/// and always in range; the fallback only guards against a future refactor
+/// breaking that invariant without a panic path.
+fn ns_of(ns_names: &[String], i: usize) -> &str {
+    ns_names.get(i).map_or("shard-invalid", String::as_str)
 }
 
 /// Deliver one report to a shard with at-least-once semantics: push to the
@@ -1131,17 +846,17 @@ impl std::fmt::Debug for ShardedRuntime {
 /// between push and ack leaves the report in the recovered inbox for the
 /// adopter to re-deliver; the server's FSA guards make duplicate handling
 /// a no-op.
-fn deliver(
-    shard: &mut Shard,
+fn deliver_at_least_once(
+    server: &mut SphinxServer,
+    ns: &str,
     sched: &mut SchedulerState,
-    report: &StatusReport,
+    report: StatusReport,
     now: SimTime,
 ) -> CoreResult<()> {
-    let inbox: Queue<StatusReport> = Queue::namespaced(&shard.db, &shard.ns, "inbox");
-    inbox.push(report)?;
-    shard
-        .server
-        .handle_report_shared(sched, report.clone(), now)?;
+    let db = Arc::clone(server.database());
+    let inbox: Queue<StatusReport> = Queue::namespaced(&db, ns, "inbox");
+    inbox.push(&report)?;
+    server.handle_report_shared(sched, report, now)?;
     inbox.pop()?;
     Ok(())
 }

@@ -31,6 +31,20 @@ pub struct SiteInfo {
     pub cpus: u32,
 }
 
+impl SiteInfo {
+    /// The planner's catalog of a grid's sites, in catalog order.
+    pub(crate) fn catalog(grid: &sphinx_grid::GridSim) -> Vec<SiteInfo> {
+        grid.site_specs()
+            .iter()
+            .map(|s| SiteInfo {
+                id: s.id,
+                name: s.name.clone(),
+                cpus: s.cpus,
+            })
+            .collect()
+    }
+}
+
 /// Which §4.1 algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum StrategyKind {

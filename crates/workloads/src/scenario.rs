@@ -8,14 +8,17 @@
 //! compete for the same set of grid resources" fairness discipline — the
 //! grid trace (background load, crash schedule) depends only on the seed.
 
-use sphinx_core::runtime::{RuntimeConfig, SphinxRuntime};
+use sphinx_core::runtime::{Runtime, RuntimeConfig, SchedulerTier, SphinxRuntime};
+use sphinx_core::shard::{ShardConfig, ShardedRuntime};
 use sphinx_core::{RunReport, StrategyKind};
 use sphinx_dag::{Dag, WorkloadSpec};
 use sphinx_data::{SiteId, TransferModel};
+use sphinx_db::Database;
 use sphinx_grid::{FaultProfile, GridSim, SiteSpec};
 use sphinx_monitor::MonitorConfig;
 use sphinx_policy::{Requirement, UserId, VoId};
 use sphinx_sim::{Duration, SimRng};
+use std::sync::Arc;
 
 /// Which sites misbehave, and how.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -172,17 +175,42 @@ impl Scenario {
     /// separately from [`Scenario::run`] so tests and the recovery
     /// experiment can drive it manually.
     pub fn build_runtime(&self) -> SphinxRuntime {
-        self.build_runtime_with_db(std::sync::Arc::new(sphinx_db::Database::in_memory()))
+        self.build_runtime_with_db(Arc::new(Database::in_memory()))
     }
 
     /// Like [`Scenario::build_runtime`] but over an explicit database —
     /// a WAL-backed one enables the crash-recovery experiment.
-    pub fn build_runtime_with_db(&self, db: std::sync::Arc<sphinx_db::Database>) -> SphinxRuntime {
+    pub fn build_runtime_with_db(&self, db: Arc<Database>) -> SphinxRuntime {
+        self.assemble(|grid, config| SphinxRuntime::with_database(grid, config, db))
+    }
+
+    /// Run the whole experiment.
+    pub fn run(&self) -> RunReport {
+        self.build_runtime().run()
+    }
+
+    /// Assemble a **sharded** deployment of this scenario: the same grid,
+    /// replica seeding and workload as [`Scenario::build_runtime`], but
+    /// with `shard_config.shards` scheduler shards over a partitioned DAG
+    /// space (see `sphinx_core::shard`). DAGs route to their partition
+    /// owner at submission; crash-free runs produce the same aggregate
+    /// report for any shard count.
+    pub fn build_sharded_runtime(&self, shard_config: ShardConfig) -> ShardedRuntime {
+        self.assemble(|grid, config| ShardedRuntime::new(grid, config, shard_config))
+    }
+
+    /// The one assembly behind both deployment shapes: build the faulted
+    /// grid, seed external inputs at seed-derived replica sites, derive
+    /// the runtime configuration, hand both to `build`, then grant quotas
+    /// and submit the workload.
+    fn assemble<T: SchedulerTier>(
+        &self,
+        build: impl FnOnce(GridSim, RuntimeConfig) -> Runtime<T>,
+    ) -> Runtime<T> {
         let sites = self.faulted_sites();
         let site_ids: Vec<SiteId> = sites.iter().map(|s| s.id).collect();
         let mut grid = GridSim::new(sites, self.transfer_model(), self.seed);
         let dags = self.dags();
-        // Seed external inputs at seed-derived replica sites.
         let mut rng = SimRng::new(self.seed).derive("replica-seed");
         for dag in &dags {
             for file in dag.external_inputs() {
@@ -192,6 +220,29 @@ impl Scenario {
                 }
             }
         }
+        let mut rt = build(grid, self.runtime_config());
+        if let Some(quota) = self.quota {
+            let policy = rt.policy_mut();
+            policy.add_vo(VoId(0), "uscms");
+            policy.add_user(UserId(1), VoId(0), 10);
+            for &site in &site_ids {
+                policy.grant(UserId(1), site, quota);
+            }
+        }
+        let total = dags.len() as u32;
+        for (i, dag) in dags.iter().enumerate() {
+            let within = match self.deadline_last {
+                Some((n, within)) if (i as u32) >= total.saturating_sub(n) => Some(within),
+                _ => None,
+            };
+            rt.try_submit_dag(dag, UserId(1), within)
+                .expect("dag submission to a fresh runtime");
+        }
+        rt
+    }
+
+    /// The runtime configuration this scenario implies.
+    fn runtime_config(&self) -> RuntimeConfig {
         let mut config = RuntimeConfig {
             strategy: self.strategy,
             feedback: self.feedback,
@@ -211,92 +262,7 @@ impl Scenario {
             config.telemetry.trace_capacity = trace;
             config.telemetry.span_capacity = span;
         }
-        let mut rt = SphinxRuntime::with_database(grid, config, db);
-        if let Some(quota) = self.quota {
-            let policy = rt.server_mut().policy_mut();
-            policy.add_vo(VoId(0), "uscms");
-            policy.add_user(UserId(1), VoId(0), 10);
-            for &site in &site_ids {
-                policy.grant(UserId(1), site, quota);
-            }
-        }
-        let total = dags.len() as u32;
-        for (i, dag) in dags.iter().enumerate() {
-            match self.deadline_last {
-                Some((n, within)) if (i as u32) >= total.saturating_sub(n) => {
-                    rt.submit_dag_with_deadline(dag, UserId(1), within);
-                }
-                _ => rt.submit_dag(dag, UserId(1)),
-            }
-        }
-        rt
-    }
-
-    /// Run the whole experiment.
-    pub fn run(&self) -> RunReport {
-        self.build_runtime().run()
-    }
-
-    /// Assemble a **sharded** deployment of this scenario: the same grid,
-    /// replica seeding and workload as [`Scenario::build_runtime`], but
-    /// with `shard_config.shards` scheduler shards over a partitioned DAG
-    /// space (see `sphinx_core::shard`). DAGs route to their partition
-    /// owner at submission; crash-free runs produce the same aggregate
-    /// report for any shard count.
-    pub fn build_sharded_runtime(
-        &self,
-        shard_config: sphinx_core::shard::ShardConfig,
-    ) -> sphinx_core::shard::ShardedRuntime {
-        let sites = self.faulted_sites();
-        let site_ids: Vec<SiteId> = sites.iter().map(|s| s.id).collect();
-        let mut grid = GridSim::new(sites, self.transfer_model(), self.seed);
-        let dags = self.dags();
-        let mut rng = SimRng::new(self.seed).derive("replica-seed");
-        for dag in &dags {
-            for file in dag.external_inputs() {
-                for _ in 0..self.external_replicas.max(1) {
-                    let site = *rng.choose(&site_ids);
-                    grid.rls_mut().register(file.clone(), site);
-                }
-            }
-        }
-        let mut config = RuntimeConfig {
-            strategy: self.strategy,
-            feedback: self.feedback,
-            policy_enabled: self.quota.is_some(),
-            archive_site: self.archive_site,
-            timeout: self.timeout,
-            monitor: self.monitor.clone(),
-            horizon: self.horizon,
-            seed: self.seed,
-            score_cache: !self.no_score_cache,
-            ..RuntimeConfig::default()
-        };
-        config.telemetry.wall_clock = self.wall_clock_telemetry;
-        if let Some((trace, span)) = self.telemetry_capacities {
-            config.telemetry.trace_capacity = trace;
-            config.telemetry.span_capacity = span;
-        }
-        let mut rt = sphinx_core::shard::ShardedRuntime::new(grid, config, shard_config);
-        if let Some(quota) = self.quota {
-            let policy = rt.policy_mut();
-            policy.add_vo(VoId(0), "uscms");
-            policy.add_user(UserId(1), VoId(0), 10);
-            for &site in &site_ids {
-                policy.grant(UserId(1), site, quota);
-            }
-        }
-        let total = dags.len() as u32;
-        for (i, dag) in dags.iter().enumerate() {
-            let result = match self.deadline_last {
-                Some((n, within)) if (i as u32) >= total.saturating_sub(n) => {
-                    rt.submit_dag_with_deadline(dag, UserId(1), within)
-                }
-                _ => rt.submit_dag(dag, UserId(1)),
-            };
-            result.expect("dag submission to a fresh sharded runtime");
-        }
-        rt
+        config
     }
 }
 

@@ -8,6 +8,7 @@
 //! detector has to beat the post-hoc reliability flag by whole planner
 //! cycles — that head start is the tentpole's reason to exist.
 
+use sphinx_core::shard::ShardConfig;
 use sphinx_core::{RunReport, StrategyKind};
 use sphinx_ops::OpsConfig;
 use sphinx_sim::Duration;
@@ -43,22 +44,50 @@ fn run_traced(scenario: &Scenario) -> (RunReport, Vec<TraceEvent>) {
     (report, captured)
 }
 
+/// The `OpsAlert` events of a captured trace, one JSON line each.
+fn alert_lines(events: &[TraceEvent]) -> String {
+    let lines: Vec<String> = events
+        .iter()
+        .filter(|e| e.kind == TraceKind::OpsAlert)
+        .map(TraceEvent::to_json_line)
+        .collect();
+    lines.join("\n")
+}
+
 #[test]
 fn ops_alert_stream_is_byte_identical_across_reruns() {
     let alerts_of = || {
         let scenario = black_hole_scenario().ops(OpsConfig::default()).build();
         let (_, events) = run_traced(&scenario);
-        let lines: Vec<String> = events
-            .iter()
-            .filter(|e| e.kind == TraceKind::OpsAlert)
-            .map(TraceEvent::to_json_line)
-            .collect();
-        lines.join("\n")
+        alert_lines(&events)
     };
     let a = alerts_of();
     let b = alerts_of();
     assert!(!a.is_empty(), "the black-hole scenario must produce alerts");
     assert_eq!(a.as_bytes(), b.as_bytes());
+}
+
+#[test]
+fn ops_alert_stream_is_byte_identical_across_shard_counts() {
+    // The sharded runtime runs the same ops tick over its report hub,
+    // which is invariant to the shard count on crash-free runs.
+    let alerts_at = |shards: usize| {
+        let scenario = black_hole_scenario().ops(OpsConfig::default()).build();
+        let mut rt = scenario.build_sharded_runtime(ShardConfig {
+            shards,
+            ..ShardConfig::default()
+        });
+        let (sink, events) = InMemorySink::new();
+        rt.telemetry().add_sink(Box::new(sink));
+        let report = rt.try_run().expect("sharded run");
+        assert!(report.finished, "{shards} shards: {}", report.summary());
+        let captured = events.lock().clone();
+        alert_lines(&captured)
+    };
+    let one = alerts_at(1);
+    let four = alerts_at(4);
+    assert!(!one.is_empty(), "the sharded black-hole run must alert");
+    assert_eq!(one.as_bytes(), four.as_bytes());
 }
 
 #[test]
