@@ -59,7 +59,7 @@ fn ids(rows: &[Task]) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The indexed database and a baseline database (no indexes, no
     /// cache) agree on every by-state query after every step, and the

@@ -14,6 +14,11 @@
 //! state spans tile the makespan, each attributed to planner wait,
 //! queue wait, execution, or fault recovery.
 //!
+//! [`SpanGraph::new`] indexes the forest in one pass; the scan-per-query
+//! analyzer it replaced survives as a test-only oracle
+//! (`crates/telemetry/tests/support/scan_oracle.rs`) that the property
+//! and real-run tests compare against.
+//!
 //! Everything here is pure post-processing over an immutable span list:
 //! deterministic input (same seed) gives identical [`TraceAnalysis`]
 //! output, which `RunReport` carries and the determinism suite asserts.
@@ -154,16 +159,52 @@ pub struct TraceAnalysis {
 }
 
 /// An indexed, immutable view over a span forest.
+///
+/// [`SpanGraph::new`] makes one pass over the spans and builds every
+/// index the queries read, so a full [`SpanGraph::analyze`] costs
+/// O(S log S) for S spans plus the length of the chains it walks,
+/// instead of a rescan of the whole forest per DAG and per chained job.
+/// Each index keeps span order, so every tie-break below is the one a
+/// front-to-back scan would make.
 pub struct SpanGraph {
     spans: Vec<Span>,
     by_id: BTreeMap<SpanId, usize>,
+    /// Per job key: the indices of that job's spans, in span order.
+    by_job: BTreeMap<u64, Vec<usize>>,
+    /// Per DAG id: the first `dag` span in span order.
+    dag_span: BTreeMap<u64, usize>,
+    /// Per DAG id (the span's `dag` attribute): its finished `job`
+    /// spans, in span order.
+    dag_jobs: BTreeMap<u64, Vec<usize>>,
 }
 
 impl SpanGraph {
     /// Index a span list (as returned by `Telemetry::spans`).
     pub fn new(spans: Vec<Span>) -> Self {
-        let by_id = spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-        SpanGraph { spans, by_id }
+        let mut by_id = BTreeMap::new();
+        let mut by_job: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut dag_span = BTreeMap::new();
+        let mut dag_jobs: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, s) in spans.iter().enumerate() {
+            by_id.insert(s.id, i);
+            if let Some(job) = s.job {
+                by_job.entry(job).or_default().push(i);
+            }
+            match (s.name, s.dag) {
+                ("dag", Some(dag)) => {
+                    dag_span.entry(dag).or_insert(i);
+                }
+                ("job", Some(dag)) if s.end.is_some() => dag_jobs.entry(dag).or_default().push(i),
+                _ => {}
+            }
+        }
+        SpanGraph {
+            spans,
+            by_id,
+            by_job,
+            dag_span,
+            dag_jobs,
+        }
     }
 
     /// The underlying spans.
@@ -173,7 +214,20 @@ impl SpanGraph {
 
     /// Lookup by id.
     pub fn get(&self, id: SpanId) -> Option<&Span> {
-        self.by_id.get(&id).map(|&i| &self.spans[i])
+        self.by_id.get(&id).and_then(|&i| self.spans.get(i))
+    }
+
+    /// The spans at `indices` (one of the index lists), in order.
+    fn at<'a>(&'a self, indices: Option<&'a Vec<usize>>) -> impl Iterator<Item = &'a Span> + 'a {
+        indices
+            .into_iter()
+            .flatten()
+            .filter_map(|&i| self.spans.get(i))
+    }
+
+    /// Every span of `job`, in span order.
+    fn job_spans(&self, job: u64) -> impl Iterator<Item = &Span> + '_ {
+        self.at(self.by_job.get(&job))
     }
 
     /// Structural invariant check. Returns one message per violation:
@@ -236,17 +290,15 @@ impl SpanGraph {
     }
 
     fn first_ready_span(&self, job: u64) -> Option<&Span> {
-        self.spans
-            .iter()
-            .filter(|s| s.name == "state:ready" && s.job == Some(job))
+        self.job_spans(job)
+            .filter(|s| s.name == "state:ready")
             .min_by_key(|s| s.id)
     }
 
     fn state_steps(&self, job: u64) -> Vec<CriticalStep> {
         let mut steps: Vec<CriticalStep> = self
-            .spans
-            .iter()
-            .filter(|s| s.name.starts_with("state:") && s.job == Some(job) && s.end.is_some())
+            .job_spans(job)
+            .filter(|s| s.name.starts_with("state:") && s.end.is_some())
             .map(|s| CriticalStep {
                 name: s.name.to_owned(),
                 job,
@@ -265,14 +317,9 @@ impl SpanGraph {
     /// link upstream to a root job. `None` when the DAG has no finished
     /// job spans in the graph.
     pub fn critical_path(&self, dag: u64) -> Option<CriticalPath> {
-        let dag_span = self
-            .spans
-            .iter()
-            .find(|s| s.name == "dag" && s.dag == Some(dag));
+        let dag_span = self.dag_span.get(&dag).and_then(|&i| self.spans.get(i));
         let last = self
-            .spans
-            .iter()
-            .filter(|s| s.name == "job" && s.dag == Some(dag) && s.end.is_some())
+            .at(self.dag_jobs.get(&dag))
             .max_by(|a, b| a.end.cmp(&b.end).then(b.id.cmp(&a.id)))?;
         let mut chain = vec![last];
         let mut cur = last;
@@ -288,6 +335,7 @@ impl SpanGraph {
             chain.push(parent);
             cur = parent;
         }
+        // `cur` is now the chain root: `chain[0]` once reversed.
         chain.reverse();
         let jobs: Vec<u64> = chain.iter().filter_map(|s| s.job).collect();
         let mut steps = Vec::new();
@@ -303,7 +351,7 @@ impl SpanGraph {
             );
         }
         let path_ms = steps.iter().map(CriticalStep::duration_ms).sum();
-        let dag_start = dag_span.map(|s| s.start).unwrap_or(chain[0].start);
+        let dag_start = dag_span.map(|s| s.start).unwrap_or(cur.start);
         let dag_end = dag_span
             .and_then(|s| s.end)
             .or(last.end)
@@ -318,9 +366,8 @@ impl SpanGraph {
     }
 
     fn final_attempt(&self, job: u64) -> u64 {
-        self.spans
-            .iter()
-            .filter(|s| s.name == "attempt" && s.job == Some(job))
+        self.job_spans(job)
+            .filter(|s| s.name == "attempt")
             .filter_map(|s| s.attempt)
             .max()
             .unwrap_or(0)
@@ -331,8 +378,8 @@ impl SpanGraph {
     pub fn job_dwell(&self, job: u64) -> (DwellBreakdown, u64) {
         let final_attempt = self.final_attempt(job);
         let mut dwell = DwellBreakdown::default();
-        for s in &self.spans {
-            if s.job != Some(job) || s.end.is_none() || !s.name.starts_with("state:") {
+        for s in self.job_spans(job) {
+            if s.end.is_none() || !s.name.starts_with("state:") {
                 continue;
             }
             let ms = s.duration_ms();
@@ -383,18 +430,11 @@ impl SpanGraph {
     /// top-`top_n` slowest jobs. Span-store counters are filled in by
     /// `Telemetry::analyze`.
     pub fn analyze(&self, top_n: usize) -> TraceAnalysis {
-        let mut dag_ids: Vec<u64> = self
-            .spans
-            .iter()
-            .filter(|s| s.name == "dag")
-            .filter_map(|s| s.dag)
-            .collect();
-        dag_ids.sort_unstable();
-        dag_ids.dedup();
         TraceAnalysis {
-            critical_paths: dag_ids
-                .into_iter()
-                .filter_map(|d| self.critical_path(d))
+            critical_paths: self
+                .dag_span
+                .keys()
+                .filter_map(|&d| self.critical_path(d))
                 .collect(),
             slowest_jobs: self.slowest_jobs(top_n),
             spans_total: 0,

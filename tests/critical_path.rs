@@ -6,7 +6,16 @@
 //! tiles the DAG's makespan exactly (every handoff between consecutive
 //! states and between parent completion and child readiness happens at a
 //! single server-observed instant, so a fault-free run leaves no gaps).
+//!
+//! Real runs with faults, replans and span eviction also check the
+//! production analysis against the scan-based oracle shared with the
+//! telemetry crate's property test.
 
+#[path = "../crates/telemetry/tests/support/scan_oracle.rs"]
+mod scan_oracle;
+
+use scan_oracle::ScanGraph;
+use sphinx::core::report::RunReport;
 use sphinx::core::runtime::{RuntimeConfig, SphinxRuntime};
 use sphinx::dag::{Dag, DagId, JobId, JobSpec};
 use sphinx::data::{FileSpec, LogicalFile, TransferModel};
@@ -15,7 +24,7 @@ use sphinx::grid::GridSim;
 use sphinx::policy::UserId;
 use sphinx::sim::Duration;
 use sphinx::telemetry::SpanGraph;
-use sphinx::workloads::grid3;
+use sphinx::workloads::{grid3, FaultPlan, Scenario};
 use std::sync::Arc;
 
 /// jobs 0 -> 1 -> 2, chained by their output files.
@@ -36,7 +45,7 @@ fn chain_dag() -> Dag {
     Dag::new(id, jobs).expect("chain is a valid DAG")
 }
 
-fn run_chain() -> (SphinxRuntime, sphinx::core::report::RunReport) {
+fn run_chain() -> (SphinxRuntime, RunReport) {
     let grid = GridSim::new(
         grid3::catalog_small(),
         TransferModel::uniform(60.0, Duration::from_secs(3)),
@@ -111,4 +120,63 @@ fn chain_blames_execution_not_faults() {
     let root = slow.iter().find(|j| j.job == 0).expect("job 0 reported");
     assert!(root.dwell.dependency_ms <= 15_000, "{:?}", root.dwell);
     assert!(root.dwell.execution_ms >= Duration::from_mins(4).as_millis());
+}
+
+/// The report's analysis equals the scan oracle's over the run's final
+/// span forest. `RunReport` analyses keep the ten slowest jobs.
+fn assert_analysis_matches_oracle(rt: &SphinxRuntime, report: &RunReport) {
+    let expected = ScanGraph::new(rt.telemetry().spans()).analyze(10);
+    assert!(!expected.critical_paths.is_empty());
+    assert_eq!(report.analysis.critical_paths, expected.critical_paths);
+    assert_eq!(report.analysis.slowest_jobs, expected.slowest_jobs);
+}
+
+fn run_scenario(scenario: &Scenario) -> (SphinxRuntime, RunReport) {
+    let mut rt = scenario.build_runtime();
+    let report = rt.run();
+    assert!(report.finished, "{}", report.summary());
+    (rt, report)
+}
+
+#[test]
+fn faulty_multi_dag_analysis_matches_scan_oracle() {
+    // The first seed whose run both times out and replans is fixed for a
+    // given codebase, so the comparison always covers those paths.
+    let (rt, report) = (1..40)
+        .map(|seed| {
+            let scenario = Scenario::builder()
+                .seed(seed)
+                .faults(FaultPlan::grid3_typical())
+                .dags(4, 12)
+                .build();
+            run_scenario(&scenario)
+        })
+        .find(|(rt, report)| {
+            report.timeouts > 0
+                && rt
+                    .telemetry()
+                    .spans()
+                    .iter()
+                    .any(|s| s.name == "attempt" && s.attempt.unwrap_or(0) >= 2)
+        })
+        .expect("some seed in 1..40 must time out and replan");
+    assert_eq!(report.analysis.critical_paths.len(), 4);
+    assert_analysis_matches_oracle(&rt, &report);
+}
+
+#[test]
+fn evicting_run_analysis_matches_scan_oracle() {
+    let scenario = Scenario::builder()
+        .seed(3)
+        .faults(FaultPlan::grid3_typical())
+        .dags(4, 12)
+        .telemetry_capacities(4_096, 300)
+        .build();
+    let (rt, report) = run_scenario(&scenario);
+    assert!(
+        report.analysis.spans_dropped > 0,
+        "the span store must evict: {:?}",
+        report.telemetry
+    );
+    assert_analysis_matches_oracle(&rt, &report);
 }
