@@ -254,11 +254,6 @@ impl<T: SchedulerTier> Runtime<T> {
         self.ops_shared.clone()
     }
 
-    /// The live-ops aggregator, when enabled.
-    pub fn ops_aggregator(&self) -> Option<&OpsAggregator> {
-        self.ops.as_ref()
-    }
-
     /// True when every submitted DAG finished.
     pub fn all_finished(&self) -> bool {
         self.tier.all_finished()
@@ -658,25 +653,26 @@ impl SphinxRuntime {
         config: RuntimeConfig,
         db: Arc<Database>,
     ) -> CoreResult<Self> {
-        let mut rt = Self::with_database(grid, config, db);
-        // The recovered server replaces the one `with_database` built; keep
-        // the shared hub so grid/monitor/db events stay on the same trace.
-        let telemetry = Arc::clone(rt.telemetry());
-        let db = Arc::clone(rt.tier.server.database());
+        let telemetry = Arc::new(Telemetry::with_config(config.telemetry.clone()));
+        db.attach_telemetry(Arc::clone(&telemetry));
+        let now = grid.now();
+        // Recovery runs on the server's private hub; the shared one takes
+        // over from the `Recovery` trace on.
         let mut server = SphinxServer::recover(
             Arc::clone(&db),
-            SiteInfo::catalog(&rt.grid),
-            rt.config.server_config(),
+            SiteInfo::catalog(&grid),
+            config.server_config(),
+            now,
         )?;
         telemetry.trace(
             TraceKind::Recovery,
-            rt.grid.now(),
+            now,
             None,
             None,
             format!("replayed={}", db.replayed()),
         );
         server.set_telemetry(telemetry);
-        rt.tier.server = server;
+        let mut rt = Runtime::assemble(grid, config, SingleServer { server });
         rt.started = true; // reuse the surviving wakeup chains
         Ok(rt)
     }

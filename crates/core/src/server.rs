@@ -313,16 +313,16 @@ impl SphinxServer {
         }
     }
 
-    /// Rebuild a server from a recovered database (crash recovery).
-    ///
-    /// In-flight attempts (`Submitted`/`Queued`/`Running`) are reset to
-    /// `Ready`: the client-side tracker state died with the server, so the
-    /// safe move is to cancel-and-replan, exactly what the paper's tracker
-    /// does for held jobs.
+    /// Rebuild a server from a recovered database (crash recovery): a shard
+    /// adoption whose tracker died too. Every DAG goes through
+    /// [`Self::restore_dag`], then [`Self::reconcile_inflight`] against an
+    /// empty tracker resets every in-flight attempt to `Ready` — the safe
+    /// cancel-and-replan move the paper's tracker makes for held jobs.
     pub fn recover(
         db: Arc<Database>,
         catalog: Vec<SiteInfo>,
         config: ServerConfig,
+        now: SimTime,
     ) -> CoreResult<Self> {
         let mut server = SphinxServer::new(db, catalog, config);
         // Restore tracker-derived statistics.
@@ -337,42 +337,18 @@ impl SphinxServer {
                 .prediction
                 .restore(site, row.completion_secs_sum, row.completion_samples);
         }
-        // Reset in-flight jobs and rebuild frontiers.
+        let mut dags = Vec::new();
         for dag_row in server.db.scan::<DagRow>()? {
-            server.dags_total += 1;
-            if dag_row.state == DagState::Finished {
-                server.dags_finished += 1;
-                continue;
-            }
-            let mut completed = Vec::new();
-            for job in server
+            let jobs = server
                 .db
-                .scan_where::<JobRow>("/id/dag", &dag_key(dag_row.id)?)?
-            {
-                match job.state {
-                    s if s.is_terminal() => completed.push(job.id.index),
-                    s if s.is_outstanding() => {
-                        server
-                            .db
-                            .update::<JobRow>(job.id.as_key(), |j| j.reset_for_replan())?;
-                    }
-                    _ => {}
-                }
-            }
-            if dag_row.state == DagState::Running {
-                server.frontiers.insert(
-                    dag_row.id,
-                    Frontier::with_completed(&dag_row.dag, &completed),
-                );
-            }
-            // `Received` DAGs will be reduced by the next plan cycle.
-            server.remember_dag(
-                dag_row.id,
-                Arc::clone(&dag_row.dag),
-                dag_row.user,
-                dag_row.deadline,
-            );
+                .scan_where::<JobRow>("/id/dag", &dag_key(dag_row.id)?)?;
+            server.restore_dag(&dag_row, &jobs, now)?;
+            dags.push(dag_row.id);
         }
+        // The fresh tracker tracks nothing.
+        let mut sched = std::mem::take(&mut server.sched);
+        server.reconcile_inflight(&mut sched, &dags, &BTreeMap::new(), now)?;
+        server.sched = sched;
         Ok(server)
     }
 
@@ -382,11 +358,11 @@ impl SphinxServer {
     /// Rows are copied verbatim — DAG and job state is exactly what the
     /// dead shard's WAL committed — and per-site statistics are
     /// merge-added, because both shards planned onto the same grid sites.
-    /// Frontiers are rebuilt the way [`Self::recover`] does, except that
-    /// in-flight attempts are *kept* in flight: unlike a whole-server
-    /// crash, the grid and its tracker survived, so reports for those
-    /// attempts will still arrive. [`Self::reconcile_inflight`] then
-    /// repairs the torn tail against the client's tracking table.
+    /// Each DAG is then rebuilt by [`Self::restore_dag`], which keeps
+    /// in-flight attempts in flight: unlike a whole-server crash, the grid
+    /// and its tracker survived, so reports for those attempts will still
+    /// arrive. [`Self::reconcile_inflight`] then repairs the torn tail
+    /// against the client's tracking table.
     ///
     /// Returns the adopted DAG ids, in id order.
     pub(crate) fn adopt_from(&mut self, donor: &Database, now: SimTime) -> CoreResult<Vec<DagId>> {
@@ -406,54 +382,8 @@ impl SphinxServer {
                 txn.put(job)?;
             }
             txn.commit()?;
-            self.dags_total += 1;
             adopted.push(dag_row.id);
-            if dag_row.state == DagState::Finished {
-                self.dags_finished += 1;
-                continue;
-            }
-            if dag_row.state == DagState::Running {
-                let terminal: Vec<u32> = jobs
-                    .iter()
-                    .filter(|j| j.state.is_terminal())
-                    .map(|j| j.id.index)
-                    .collect();
-                let mut frontier = Frontier::with_completed(&dag_row.dag, &terminal);
-                for job in &jobs {
-                    if job.state.is_outstanding() {
-                        // Still running on the grid under the old shard's
-                        // plan; keep it out of the ready set.
-                        frontier.take(job.id.index);
-                    } else if job.state == JobState::Unready && frontier.is_ready(job.id.index) {
-                        // Torn tail: the parent's completion committed but
-                        // the child's Unready -> Ready update was on the
-                        // WAL line the crash tore off. The frontier is
-                        // derived from the committed completions, so it is
-                        // the authority; repair the row.
-                        self.db.update::<JobRow>(job.id.as_key(), |j| {
-                            // sphinx-fsa: Unready -> Ready
-                            j.advance(JobState::Ready);
-                        })?;
-                        self.telemetry.note_job_state(
-                            job.id.as_key(),
-                            dag_row.id.0,
-                            "ready",
-                            None,
-                            None,
-                            now,
-                        );
-                    }
-                }
-                self.frontiers.insert(dag_row.id, frontier);
-            }
-            // `Received` DAGs will be reduced by the adopter's next cycle.
-            self.remember_dag(
-                dag_row.id,
-                Arc::clone(&dag_row.dag),
-                dag_row.user,
-                dag_row.deadline,
-            );
-            self.maybe_finish_dag(dag_row.id, now)?;
+            self.restore_dag(&dag_row, &jobs, now)?;
         }
         // Fold the donor's per-site tallies into ours: site keys collide
         // across shards, so this must merge-add, never overwrite.
@@ -466,6 +396,59 @@ impl SphinxServer {
             })?;
         }
         Ok(adopted)
+    }
+
+    /// Rebuild one DAG's in-memory view from its committed rows. The rows
+    /// may be torn (a crash can fall between one report's commits), so two
+    /// rules repair them (DESIGN.md "Crash recovery"): the frontier built
+    /// from committed completions is the authority on readiness, and a DAG
+    /// whose jobs are all terminal is finished. In-flight jobs stay out of
+    /// the ready set for the caller's [`Self::reconcile_inflight`].
+    fn restore_dag(&mut self, dag_row: &DagRow, jobs: &[JobRow], now: SimTime) -> CoreResult<()> {
+        self.dags_total += 1;
+        if dag_row.state == DagState::Finished {
+            self.dags_finished += 1;
+            return Ok(());
+        }
+        if dag_row.state == DagState::Running {
+            let terminal: Vec<u32> = jobs
+                .iter()
+                .filter(|j| j.state.is_terminal())
+                .map(|j| j.id.index)
+                .collect();
+            let mut frontier = Frontier::with_completed(&dag_row.dag, &terminal);
+            for job in jobs {
+                if job.state.is_outstanding() {
+                    frontier.take(job.id.index);
+                } else if job.state == JobState::Unready && frontier.is_ready(job.id.index) {
+                    // The parent's completion committed, the child's
+                    // Unready -> Ready update did not: repair the row.
+                    self.db.update::<JobRow>(job.id.as_key(), |j| {
+                        // sphinx-fsa: Unready -> Ready
+                        j.advance(JobState::Ready);
+                    })?;
+                    self.telemetry.note_job_state(
+                        job.id.as_key(),
+                        dag_row.id.0,
+                        "ready",
+                        None,
+                        None,
+                        now,
+                    );
+                }
+            }
+            self.frontiers.insert(dag_row.id, frontier);
+        }
+        // `Received` DAGs will be reduced by the next plan cycle.
+        self.remember_dag(
+            dag_row.id,
+            Arc::clone(&dag_row.dag),
+            dag_row.user,
+            dag_row.deadline,
+        );
+        // Finishes a DAG whose last completion committed but whose
+        // Running -> Finished update did not.
+        self.maybe_finish_dag(dag_row.id, now)
     }
 
     /// Reconcile adopted in-flight attempts against the client tracker
@@ -1610,8 +1593,13 @@ mod tests {
         drop(s); // crash
 
         let recovered_db = Arc::new(Database::recover(Box::new(wal)).unwrap());
-        let mut s2 =
-            SphinxServer::recover(recovered_db, catalog(3, 4), ServerConfig::default()).unwrap();
+        let mut s2 = SphinxServer::recover(
+            recovered_db,
+            catalog(3, 4),
+            ServerConfig::default(),
+            SimTime::from_secs(95),
+        )
+        .unwrap();
         // The finished job stayed finished; in-flight ones are replanned.
         let row = s2.db.get::<JobRow>(done.job.as_key()).unwrap();
         assert_eq!(row.state, JobState::Finished);

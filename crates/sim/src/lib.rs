@@ -2,7 +2,8 @@
 //!
 //! The paper evaluates SPHINX on Grid3, a live production grid. This crate is
 //! the foundation of the simulated replacement: a deterministic, seeded
-//! discrete-event engine plus the statistics machinery every experiment needs.
+//! discrete-event engine plus the streaming mean the completion-time
+//! predictor needs.
 //!
 //! Design points:
 //!
@@ -21,5 +22,5 @@ pub mod time;
 
 pub use events::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
-pub use stats::{Accumulator, SampleSet, TimeWeighted};
+pub use stats::Accumulator;
 pub use time::{Duration, SimTime};

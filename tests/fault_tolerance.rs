@@ -1,12 +1,19 @@
 //! Fault-tolerance integration: site failures, middleware crashes, and
 //! the write-ahead-log recovery path, exercised through the whole stack.
 
+use sphinx::core::messages::{CancelCause, StatusReport};
 use sphinx::core::runtime::SphinxRuntime;
-use sphinx::core::strategy::StrategyKind;
-use sphinx::db::{CheckpointPolicy, Database, DbConfig, MemWal};
-use sphinx::sim::{Duration, SimTime};
+use sphinx::core::state::{DagRow, JobRow, JobState};
+use sphinx::core::strategy::{SiteInfo, StrategyKind};
+use sphinx::core::{ServerConfig, SphinxServer};
+use sphinx::dag::WorkloadSpec;
+use sphinx::data::{ReplicaService, SiteId, TransferModel};
+use sphinx::db::{CheckpointPolicy, Database, DbConfig, MemWal, Wal};
+use sphinx::policy::UserId;
+use sphinx::sim::{Duration, SimRng, SimTime};
 use sphinx::workloads::experiments::{recovery, ExperimentParams};
 use sphinx::workloads::{grid3, FaultPlan, Scenario};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn faulty() -> sphinx::workloads::ScenarioBuilder {
@@ -222,5 +229,130 @@ fn reliability_counts_survive_recovery() {
         rt2.server().reliability().total_cancelled(),
         cancelled_before,
         "lifetime cancellation counts must survive the crash"
+    );
+}
+
+/// Drive a bare server until every DAG finishes or `max_cycles` plan
+/// cycles pass. Plans complete instantly, except that every fourth plan
+/// times out, so replans and site-statistics rows reach the log. Returns
+/// the time reached.
+fn drive_to_completion(
+    server: &mut SphinxServer,
+    rls: &mut ReplicaService,
+    mut now: SimTime,
+    max_cycles: usize,
+) -> SimTime {
+    let mut planned = 0u64;
+    for _ in 0..max_cycles {
+        if server.all_finished() {
+            break;
+        }
+        let plans = server
+            .plan_cycle(now, rls, &BTreeMap::new(), &TransferModel::default())
+            .expect("plan cycle");
+        for plan in plans {
+            planned += 1;
+            let report = if planned.is_multiple_of(4) {
+                StatusReport::Cancelled {
+                    job: plan.job,
+                    site: plan.site,
+                    cause: CancelCause::Timeout,
+                }
+            } else {
+                rls.register(plan.output.file.clone(), plan.site);
+                StatusReport::Completed {
+                    job: plan.job,
+                    site: plan.site,
+                    total: Duration::from_secs(90),
+                    exec: Duration::from_secs(60),
+                    idle: Duration::from_secs(10),
+                }
+            };
+            server.handle_report(report, now).expect("report handled");
+        }
+        now += Duration::from_secs(30);
+    }
+    now
+}
+
+#[test]
+fn whole_server_recovers_after_every_commit() {
+    // Crash the server after each commit of a seeded run and recover it
+    // from that log prefix. With checkpointing off, every prefix is a real
+    // crash state, including those that tear one tracker report's several
+    // commits apart.
+    let catalog: Vec<SiteInfo> = (0..3)
+        .map(|i| SiteInfo {
+            id: SiteId(i),
+            name: format!("site{i}"),
+            cpus: 4,
+        })
+        .collect();
+    let config = ServerConfig {
+        strategy: StrategyKind::RoundRobin,
+        ..ServerConfig::default()
+    };
+    let db_config = DbConfig {
+        checkpoint: CheckpointPolicy::disabled(),
+        ..DbConfig::default()
+    };
+    let dags = WorkloadSpec::small(3, 8).generate(&SimRng::new(11), 0);
+    let mut rls = ReplicaService::new();
+    for dag in &dags {
+        for file in dag.external_inputs() {
+            rls.register(file, SiteId(0));
+        }
+    }
+
+    let wal = MemWal::shared();
+    let db = Arc::new(Database::with_wal_and_config(
+        Box::new(wal.clone()),
+        db_config,
+    ));
+    let mut server = SphinxServer::new(db, catalog.clone(), config.clone());
+    for dag in &dags {
+        server.submit_dag(dag, UserId(1), SimTime::ZERO).unwrap();
+    }
+    let crash_at = drive_to_completion(&mut server, &mut rls, SimTime::ZERO, 200);
+    assert!(server.all_finished(), "the uncrashed run must finish");
+    let lines = wal.read_all().unwrap();
+    assert!(lines.len() > 100, "only {} commits", lines.len());
+
+    let mut failed = Vec::new();
+    for k in 1..=lines.len() {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut prefix = MemWal::shared();
+            prefix.rewrite(&lines[..k]).unwrap();
+            let db = Database::recover_with_config(Box::new(prefix), db_config).unwrap();
+            let mut server =
+                SphinxServer::recover(Arc::new(db), catalog.clone(), config.clone(), crash_at)
+                    .unwrap();
+            // The grid survived the crash, so its replica catalog is the
+            // finished run's.
+            let mut rls = rls.clone();
+            drive_to_completion(&mut server, &mut rls, crash_at, 200);
+            let db = server.database();
+            let expected: usize = db
+                .scan::<DagRow>()
+                .unwrap()
+                .iter()
+                .map(|d| d.dag.len())
+                .sum();
+            let jobs = db.scan::<JobRow>().unwrap();
+            server.all_finished()
+                && jobs.len() == expected
+                && jobs
+                    .iter()
+                    .all(|j| matches!(j.state, JobState::Finished | JobState::Eliminated))
+        });
+        if !matches!(outcome, Ok(true)) {
+            failed.push(k);
+        }
+    }
+    assert!(
+        failed.is_empty(),
+        "recovery failed after {} of {} commits: {failed:?}",
+        failed.len(),
+        lines.len()
     );
 }
